@@ -24,14 +24,12 @@ from .encoders import (
     split_samples,
 )
 from .event_engine import (
-    AerPacket,
+    PACKET_DTYPE,
     EngineError,
     EventEngine,
-    EventFifo,
     FifoOverflowError,
     ProtocolError,
-    decode_packet,
-    encode_packet,
+    packet_array,
     read_aer_file,
     write_aer_file,
 )

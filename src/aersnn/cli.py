@@ -19,9 +19,10 @@ the same bytes (the sweep table's runtime column is wall-clock and is the
 one documented exception).
 
 Exit codes: 0 success; 1 configuration or validation failure (including
-checkpoint/topology mismatches); 2 dataset or other IO failure; 3 runtime
-protocol violation on the AER stream (decreasing timestamps, FIFO
-overflow).
+checkpoint/topology mismatches); 2 dataset or other IO failure, including
+a replayed ``.aer`` trace whose length is not a whole number of 6-byte
+packets; 3 runtime protocol violation on the AER stream (decreasing
+timestamps, more neurons firing in one step than ``engine.fifo_capacity``).
 
 When ``data.aer_trace`` names a recorded trace file, ``eval`` replays it
 through the checkpointed network as one continuous stream (no per-sample
@@ -36,6 +37,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     STREAM_ENCODE,
@@ -63,8 +66,9 @@ from .evaluator import (
     NeuronLabels,
 )
 from .event_engine import (
-    AerPacket,
+    PACKET_DTYPE,
     EngineError,
+    packet_array,
     read_aer_file,
     write_activation_log,
     write_aer_file,
@@ -198,8 +202,11 @@ def _replay_trace(args, cfg: RunConfig, cfg_hash: str) -> int:
     store = _load_checkpoint(args.checkpoint, cfg)
     engine = build_engine(cfg, store)
     engine.learning = not args.no_learning
-    packets = read_aer_file(cfg.aer_trace)
-    stop_ts = (max(p.timestamp for p in packets) + 1) if packets else 0
+    try:
+        packets = read_aer_file(cfg.aer_trace)
+    except ValueError as exc:
+        raise DatasetError(f"{cfg.aer_trace}: {exc}") from exc
+    stop_ts = int(packets.timestamp.max()) + 1 if packets.size else 0
     result = engine.run(packets, stop_ts=stop_ts)
 
     out = args.out
@@ -290,14 +297,15 @@ def cmd_encode(args) -> int:
     cfg_hash = config_hash(cfg)
     train_set, _ = _load_dataset(cfg)
     subset = train_set if cfg.train_samples < 0 else train_set[: cfg.train_samples]
-    packets: list[AerPacket] = []
-    for idx, sample in enumerate(subset):
-        seed = derive_seed(cfg.seed, STREAM_ENCODE, idx)
-        offset = idx * cfg.timesteps
-        packets.extend(
-            AerPacket(p.neuron_id, p.timestamp + offset)
-            for p in poisson_encode(sample, cfg.encoder_params(seed))
-        )
+    streams = [
+        poisson_encode(sample, cfg.encoder_params(derive_seed(cfg.seed, STREAM_ENCODE, idx)))
+        for idx, sample in enumerate(subset)
+    ]
+    # sample idx occupies timesteps idx * timesteps .. (idx + 1) * timesteps - 1
+    offsets = np.repeat(np.arange(len(streams), dtype=np.int64) * cfg.timesteps,
+                        np.array([len(s) for s in streams], dtype=np.intp))
+    joined = np.concatenate([np.empty(0, PACKET_DTYPE)] + streams)
+    packets = packet_array(joined["neuron_id"], joined["timestamp"] + offsets)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     n = write_aer_file(out / "trace.aer", packets)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .event_engine import AerPacket
+from .event_engine import packet_array
 
 __all__ = [
     "EncoderParams",
@@ -78,11 +78,11 @@ class Sample:
     label: int
 
 
-def poisson_encode(sample: Sample, p: EncoderParams) -> list[AerPacket]:
-    """Bernoulli-per-step rate coding of one sample.
+def poisson_encode(sample: Sample, p: EncoderParams) -> np.recarray:
+    """Bernoulli-per-step rate coding of one sample into a packet array.
 
     Packets come out sorted by (timestamp, neuron id), ready for the
-    engine. The same (sample, params, seed) always yields the same list.
+    engine. The same (sample, params, seed) always yields the same packets.
     """
     features = np.asarray(sample.features, dtype=np.float64)
     if features.ndim != 1:
@@ -93,10 +93,10 @@ def poisson_encode(sample: Sample, p: EncoderParams) -> list[AerPacket]:
     draws = rng.random((p.timesteps, features.size))
     grid = draws < features * p.max_rate
     ts, ids = np.nonzero(grid)
-    return [AerPacket(int(i), int(t)) for t, i in zip(ts, ids)]
+    return packet_array(ids, ts)
 
 
-def rate_encode_ecg(sample: Sample, p: EncoderParams) -> list[AerPacket]:
+def rate_encode_ecg(sample: Sample, p: EncoderParams) -> np.recarray:
     """Heartbeat encoding: same Bernoulli mechanism, conventionally run
     with a 100-step window."""
     return poisson_encode(sample, p)

@@ -132,10 +132,7 @@ def _sample_counts(engine: EventEngine, sample: Sample, cfg: RunConfig,
     reset_for_sample(engine.store)
     packets = poisson_encode(sample, cfg.encoder_params(seed))
     result = engine.run(packets, stop_ts=cfg.timesteps)
-    counts = np.zeros(engine.store.n_exc, dtype=np.int64)
-    for p in result.outputs:
-        counts[p.neuron_id] += 1
-    return counts
+    return np.bincount(result.outputs.neuron_id, minlength=engine.store.n_exc)
 
 
 def train_pass(engine: EventEngine, samples: list[Sample], cfg: RunConfig,

@@ -1,14 +1,16 @@
-"""Event-driven core: AER packet codec, FIFOs, controller, and the three
-event handlers.
+"""Event-driven core: the AER packet format and codec, and the engine that
+closes one timestep at a time with one array pass per phase.
 
-Spikes enter and leave as AER packets, a (neuron id, timestamp) pair
-serialized as 6 little-endian bytes (u16 id, u32 timestamp). The engine
-pulls packets from an input FIFO and drives a controller cycle per
-timestep:
+Spikes enter and leave as AER packets, a (neuron id, timestamp) pair. A
+stream of them is one record array of ``PACKET_DTYPE``: a packed
+little-endian u16 ``neuron_id`` and u32 ``timestamp``, 6 bytes per packet,
+which is byte for byte the binary trace file format.
 
-    integrate  one activation per packet of the current timestep: add the
-               packet's weight row to the excitatory voltages, depress that
-               row by the post-synaptic traces, then bump the input trace.
+The engine closes timesteps ``0 .. stop_ts - 1`` in order. Per step:
+
+    integrate  the step's packets in stream order: add the packet's weight
+               row to the excitatory voltages, depress that row by the
+               post-synaptic traces, then bump the input trace.
     leak       all voltages decay one iterative step toward rest, queued
                lateral inhibition is subtracted (floored at v_floor) and
                cleared, all traces decay.
@@ -18,24 +20,44 @@ timestep:
                against all the others, and an output packet is emitted.
                Simultaneous crossings all fire, in ascending id order.
 
-A packet with a later timestamp than the current one closes the current
-step and every empty step before that packet: one leak+fire cycle per
-elapsed timestep, so gaps decay state exactly as if the quiet steps had
-been driven individually. Input timestamps must be non-decreasing;
-anything else is a protocol error and aborts the run.
+A step without packets still leaks and fires, so gaps decay state exactly
+as if the quiet steps had been driven. Input timestamps must be
+non-decreasing and below ``stop_ts``; the whole stream is checked before
+any state changes, and a violation raises ``ProtocolError``. Ids outside
+the input layer are dropped and counted. The output buffer is drained
+after every step and holds ``fifo_capacity`` packets: more neurons than
+that firing in one step raises ``FifoOverflowError``.
+
+Each phase handles a whole step with array operations, yet equals the
+packet-by-packet, neuron-by-neuron definition above bit for bit, in both
+numeric modes, because:
+
+* the voltage sum adds the rows ``v, w[i1], w[i2], ...`` one at a time, in
+  stream order: a reduction down the rows of a C-ordered stack, or a
+  cumulative sum, never regroups them;
+* the post-synaptic traces do not change within integrate, so every row
+  gets the same depression, applied by one clip of the gathered rows;
+* fixed-point adds saturate. When no prefix of the cumulative sum leaves
+  the voltage format, no add saturated and the last prefix is the result;
+  otherwise that step falls back to sequential saturating adds;
+* an id repeated within a step must integrate its row as depressed by its
+  earlier occurrence, so the step is split into consecutive runs of
+  distinct ids, each integrated as above;
+* the input traces do not change within fire, so every fired column gets
+  the same potentiation;
+* pending inhibition is zero at fire time, as the leak just cleared it;
+  ``queue_inhibition`` relies on that for its closed form.
 
 Arithmetically the handlers match the scalar transitions of the dynamics
-and plasticity modules, applied vectorized per weight row or column, in
-the float or fixed semantics of the numerics module depending on the
-store's numeric mode.
+and plasticity modules, in the float or fixed semantics of the numerics
+module depending on the store's numeric mode.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator
+import os
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -53,26 +75,22 @@ from .plasticity import StdpParams
 from .topology import StateStore, TopologyParams, queue_inhibition
 
 __all__ = [
-    "AerPacket",
-    "EventFifo",
-    "Phase",
-    "ControllerState",
+    "PACKET_DTYPE",
     "EngineStats",
     "EventEngine",
     "RunResult",
     "EngineError",
     "ProtocolError",
     "FifoOverflowError",
-    "encode_packet",
-    "decode_packet",
+    "packet_array",
     "write_aer_file",
     "read_aer_file",
     "write_aer_text",
     "read_aer_text",
 ]
 
-_PACKET = struct.Struct("<HI")
-PACKET_BYTES = _PACKET.size  # 6
+PACKET_DTYPE = np.dtype([("neuron_id", "<u2"), ("timestamp", "<u4")])
+PACKET_BYTES = PACKET_DTYPE.itemsize  # 6
 
 
 class EngineError(Exception):
@@ -84,121 +102,56 @@ class ProtocolError(EngineError):
 
 
 class FifoOverflowError(EngineError):
-    """A FIFO was pushed beyond its capacity."""
+    """More neurons fired in one timestep than the output FIFO holds."""
 
 
-@dataclass(frozen=True)
-class AerPacket:
-    neuron_id: int
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.neuron_id <= 0xFFFF:
-            raise ValueError(f"neuron_id must fit 16 bits, got {self.neuron_id}")
-        if not 0 <= self.timestamp <= 0xFFFFFFFF:
-            raise ValueError(f"timestamp must fit 32 bits, got {self.timestamp}")
+def _field(values, name: str, top: int) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iuO" or arr.min() < 0 or arr.max() > top):
+        raise ValueError(f"{name} must be integers in [0, {top}]")
+    return arr
 
 
-def encode_packet(p: AerPacket) -> bytes:
-    return _PACKET.pack(p.neuron_id, p.timestamp)
-
-
-def decode_packet(data: bytes) -> AerPacket:
-    if len(data) != PACKET_BYTES:
-        raise ValueError(f"AER packet must be {PACKET_BYTES} bytes, got {len(data)}")
-    neuron_id, timestamp = _PACKET.unpack(data)
-    return AerPacket(neuron_id, timestamp)
-
-
-def write_aer_file(path, packets: Iterable[AerPacket]) -> int:
-    """Binary trace: a flat stream of encoded packets. Returns the count."""
-    n = 0
-    with open(path, "wb") as fh:
-        for p in packets:
-            fh.write(encode_packet(p))
-            n += 1
-    return n
-
-
-def read_aer_file(path) -> list[AerPacket]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) % PACKET_BYTES:
-        raise ValueError(
-            f"trace length {len(data)} is not a multiple of {PACKET_BYTES}"
-        )
-    return [
-        AerPacket(*_PACKET.unpack_from(data, off))
-        for off in range(0, len(data), PACKET_BYTES)
-    ]
-
-
-def write_aer_text(path, packets: Iterable[AerPacket]) -> int:
-    """Debug form: one ``timestamp,neuron_id`` pair per line."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in packets:
-            fh.write(f"{p.timestamp},{p.neuron_id}\n")
-            n += 1
-    return n
-
-
-def read_aer_text(path) -> list[AerPacket]:
-    packets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            ts, nid = line.split(",")
-            packets.append(AerPacket(int(nid), int(ts)))
+def packet_array(ids, timestamps) -> np.recarray:
+    """Packets from parallel id and timestamp sequences. A value that does
+    not fit its field raises ``ValueError``; nothing wraps."""
+    ids = _field(ids, "neuron_id", 0xFFFF)
+    timestamps = _field(timestamps, "timestamp", 0xFFFFFFFF)
+    if ids.shape != timestamps.shape:
+        raise ValueError(f"{ids.shape} ids but {timestamps.shape} timestamps")
+    packets = np.recarray(ids.shape, dtype=PACKET_DTYPE)
+    packets.neuron_id = ids
+    packets.timestamp = timestamps
     return packets
 
 
-class EventFifo:
-    """Bounded FIFO; pop order equals push order."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: list[AerPacket] = []
-        self._head = 0
-
-    def __len__(self) -> int:
-        return len(self._items) - self._head
-
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity
-
-    def push(self, packet: AerPacket) -> None:
-        if self.is_full:
-            raise FifoOverflowError(f"FIFO full at capacity {self.capacity}")
-        self._items.append(packet)
-
-    def pop(self) -> AerPacket:
-        if len(self) == 0:
-            raise IndexError("pop from empty FIFO")
-        packet = self._items[self._head]
-        self._head += 1
-        if self._head > 4096 and self._head * 2 > len(self._items):
-            del self._items[: self._head]
-            self._head = 0
-        return packet
+def write_aer_file(path, packets: np.ndarray) -> int:
+    """Binary trace: a flat stream of encoded packets. Returns the count."""
+    np.asarray(packets, dtype=PACKET_DTYPE).tofile(path)
+    return len(packets)
 
 
-class Phase(Enum):
-    IDLE = "idle"
-    INTEGRATING = "integrate"
-    LEAKING = "leak"
-    FIRING = "fire"
+def read_aer_file(path) -> np.recarray:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % PACKET_BYTES:
+            raise ValueError(f"trace length {size} is not a multiple of {PACKET_BYTES}")
+        return np.fromfile(fh, dtype=PACKET_DTYPE).view(np.recarray)
 
 
-@dataclass
-class ControllerState:
-    current_timestamp: int = 0
-    phase: Phase = Phase.IDLE
+def write_aer_text(path, packets: np.ndarray) -> int:
+    """Debug form: one ``timestamp,neuron_id`` pair per line."""
+    packets = np.asarray(packets, dtype=PACKET_DTYPE)
+    rows = np.column_stack((packets["timestamp"], packets["neuron_id"]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt="%d", delimiter=",")
+    return len(packets)
+
+
+def read_aer_text(path) -> np.recarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        pairs = [line.split(",") for line in fh if line.strip()]
+    return packet_array([int(i) for _, i in pairs], [int(t) for t, _ in pairs])
 
 
 @dataclass
@@ -219,12 +172,42 @@ class EngineStats:
 
 @dataclass
 class RunResult:
-    outputs: list[AerPacket]
+    outputs: np.recarray
     stats: EngineStats
 
 
+def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
+    """Raise for the first packet, in stream order, whose timestamp is
+    below its predecessor's or not below ``stop_ts``."""
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    past = np.flatnonzero(ts >= stop_ts)
+    i_back = int(back[0]) + 1 if back.size else ts.size
+    i_past = int(past[0]) if past.size else ts.size
+    if i_back <= i_past and back.size:
+        raise ProtocolError(
+            f"timestamp went backwards: {ts[i_back]} after {ts[i_back - 1]}"
+        )
+    if past.size:
+        raise ProtocolError(f"packet timestamp {ts[i_past]} is past stop_ts {stop_ts}")
+
+
+def _distinct_runs(ids: np.ndarray) -> list[np.ndarray]:
+    """Split ids into consecutive runs in which no id repeats."""
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return [ids]
+    runs, seen, start = [], set(), 0
+    for k, i in enumerate(ids.tolist()):
+        if i in seen:
+            runs.append(ids[start:k])
+            seen.clear()
+            start = k
+        seen.add(i)
+    runs.append(ids[start:])
+    return runs
+
+
 class EventEngine:
-    """Owns one state store and drives it packet by packet.
+    """Owns one state store and drives it one timestep at a time.
 
     One engine instance is strictly sequential, mirroring the
     time-multiplexed hardware; run independent stores for parallelism.
@@ -254,6 +237,8 @@ class EventEngine:
                 f"topology {topology.n_input}x{topology.n_exc} does not match "
                 f"store {store.n_input}x{store.n_exc}"
             )
+        if fifo_capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {fifo_capacity}")
         self.store = store
         self.lif = lif
         self.trace = trace
@@ -261,10 +246,8 @@ class EventEngine:
         self.topology = topology
         self.learning = learning
         self.v_floor = -lif.v_thresh if v_floor is None else float(v_floor)
-        self.input_fifo = EventFifo(fifo_capacity)
-        self.output_fifo = EventFifo(fifo_capacity)
+        self.fifo_capacity = fifo_capacity
         self.accumulate_updates = accumulate_updates
-        self.controller = ControllerState()
         self.stats = EngineStats()
         self.activation_log: list[tuple[int, str, int]] | None = (
             [] if log_activations else None
@@ -273,7 +256,6 @@ class EventEngine:
         self._w_delta = None
         if accumulate_updates:
             self._w_delta = np.zeros_like(store.w)
-        self._step_packets = 0
 
         decay_v = DecayParams(tau=lif.tau_v, dt=lif.dt)
         decay_x = DecayParams(tau=trace.tau_x, dt=trace.dt)
@@ -310,44 +292,56 @@ class EventEngine:
 
     # -- handlers ---------------------------------------------------------
 
-    def integrate_handler(self, packet: AerPacket) -> bool:
-        """Apply one input spike. Returns False (dropped) for a neuron id
-        outside the input layer; the packet is counted, never raised."""
-        store = self.store
-        pre = packet.neuron_id
-        if pre >= store.n_input:
-            self.stats.packets_dropped += 1
-            return False
-        self.stats.packets_integrated += 1
-        self.stats.integrate_activations += 1
-        self._step_packets += 1
-        row = store.w[pre]
+    def _rate(self, coef, traces: np.ndarray) -> np.ndarray:
+        """Weight change ``coef * traces``; in fixed mode narrowed to the
+        weight format, truncating toward zero."""
         if self._fixed:
-            np.clip(
-                store.exc_v + convert_raw_array(row, self._w_fmt, self._v_fmt),
-                self._v_fmt.raw_min,
-                self._v_fmt.raw_max,
-                out=store.exc_v,
-            )
-            if self.learning:
-                drop = trunc_shift_raw(self._a_post * store.exc_x, self._rate_shift)
-                if self._w_delta is not None:
-                    self._w_delta[pre] -= drop
-                else:
-                    np.clip(row - drop, self._w_min, self._w_max, out=row)
-            # x_max is quantized into the voltage format, so the ceiling
-            # clamp also covers saturation
-            store.input_x[pre] = min(store.input_x[pre] + self._alpha, self._x_max)
+            return trunc_shift_raw(coef * traces, self._rate_shift)
+        return coef * traces
+
+    def integrate_handler(self, ids: np.ndarray) -> int:
+        """Apply one timestep's input spikes, in stream order. Ids outside
+        the input layer are dropped and counted, never raised. Returns the
+        number of spikes integrated."""
+        ids = np.asarray(ids)
+        sel = ids[ids < self.store.n_input]
+        n = int(sel.size)
+        self.stats.packets_dropped += int(ids.size) - n
+        self.stats.packets_integrated += n
+        self.stats.integrate_activations += n
+        if n:
+            for run in _distinct_runs(sel):
+                self._integrate_distinct(run)
+        return n
+
+    def _integrate_distinct(self, sel: np.ndarray) -> None:
+        store = self.store
+        v = store.exc_v
+        rows = store.w[sel]
+        add = convert_raw_array(rows, self._w_fmt, self._v_fmt) if self._fixed else rows
+        stack = np.concatenate((v[None], add))
+        if self._fixed or v.size == 1:
+            # a reduction over a lone column would run pairwise; a
+            # cumulative sum always adds row after row
+            prefix = np.cumsum(stack, axis=0)
+            fmt = self._v_fmt if self._fixed else None
+            if fmt and (prefix.min() < fmt.raw_min or prefix.max() > fmt.raw_max):
+                for row in add:  # a prefix saturated: add one row at a time
+                    np.clip(v + row, fmt.raw_min, fmt.raw_max, out=v)
+            else:
+                v[:] = prefix[-1]
         else:
-            store.exc_v += row
-            if self.learning:
-                drop = self._a_post * store.exc_x
-                if self._w_delta is not None:
-                    self._w_delta[pre] -= drop
-                else:
-                    np.clip(row - drop, self._w_min, self._w_max, out=row)
-            store.input_x[pre] = min(store.input_x[pre] + self._alpha, self._x_max)
-        return True
+            # down the rows of a C-ordered stack numpy adds row after row
+            v[:] = np.add.reduce(stack, axis=0)
+        if self.learning:
+            drop = self._rate(self._a_post, store.exc_x)
+            if self._w_delta is not None:
+                self._w_delta[sel] -= drop
+            else:
+                store.w[sel] = np.clip(rows - drop, self._w_min, self._w_max)
+        # x_max is quantized into the voltage format in fixed mode, so the
+        # ceiling clamp also covers saturation
+        store.input_x[sel] = np.minimum(store.input_x[sel] + self._alpha, self._x_max)
 
     def leak_handler(self) -> None:
         store = self.store
@@ -367,33 +361,31 @@ class EventEngine:
             store.input_x -= store.input_x * self._decay_x
         store.pending[:] = 0
 
-    def fire_handler(self, ts: int) -> list[AerPacket]:
+    def fire_handler(self, ts: int) -> np.ndarray:
+        """Fire every neuron at or above threshold in step ``ts``; returns
+        their ids in ascending order."""
         store = self.store
         self.stats.fire_activations += 1
-        fired = np.nonzero(store.exc_v >= self._thresh)[0]
-        out = []
-        for j in fired:
-            if self.learning:
-                col = store.w[:, j]
-                if self._fixed:
-                    gain = trunc_shift_raw(
-                        self._a_pre * store.input_x, self._rate_shift
-                    )
-                else:
-                    gain = self._a_pre * store.input_x
-                if self._w_delta is not None:
-                    self._w_delta[:, j] += gain
-                else:
-                    np.clip(col + gain, self._w_min, self._w_max, out=col)
-            store.exc_v[j] = self._rest
-            store.exc_x[j] = min(store.exc_x[j] + self._alpha, self._x_max)
-            packet = AerPacket(int(j), ts)
-            self.output_fifo.push(packet)
-            out.append(packet)
+        fired = np.flatnonzero(store.exc_v >= self._thresh)
+        if fired.size > self.fifo_capacity:
+            raise FifoOverflowError(
+                f"{fired.size} neurons fired at step {ts}, "
+                f"output FIFO holds {self.fifo_capacity}"
+            )
         if fired.size:
-            queue_inhibition(store, fired.tolist(), self.topology.w_inh)
-        self.stats.packets_out += len(out)
-        return out
+            if self.learning:
+                gain = self._rate(self._a_pre, store.input_x)[:, None]
+                if self._w_delta is not None:
+                    self._w_delta[:, fired] += gain
+                else:
+                    cols = store.w[:, fired]
+                    cols += gain
+                    store.w[:, fired] = np.clip(cols, self._w_min, self._w_max, out=cols)
+            store.exc_v[fired] = self._rest
+            store.exc_x[fired] = np.minimum(store.exc_x[fired] + self._alpha, self._x_max)
+            queue_inhibition(store, fired, self.topology.w_inh)
+            self.stats.packets_out += int(fired.size)
+        return fired
 
     def apply_accumulated_updates(self) -> None:
         """Fold the batched weight deltas into the live weights (clamped)."""
@@ -406,84 +398,34 @@ class EventEngine:
 
     # -- controller -------------------------------------------------------
 
-    def _log(self, ts: int, phase: Phase, count: int) -> None:
-        if self.activation_log is not None:
-            self.activation_log.append((ts, phase.value, count))
-
-    def run_timestep_boundary(self, from_ts: int, to_ts: int) -> list[AerPacket]:
-        """Close steps ``from_ts .. to_ts - 1``: one leak+fire cycle each,
-        output packets stamped with the step they fired in."""
-        outputs = []
-        for t in range(from_ts, to_ts):
-            self.controller.current_timestamp = t
-            self._log(t, Phase.INTEGRATING, self._step_packets)
-            if self._step_packets == 0:
+    def run(self, packets: np.ndarray, stop_ts: int) -> RunResult:
+        """Simulate timesteps ``0 .. stop_ts - 1`` over a packet array
+        sorted by timestamp (see the module docstring for the contract).
+        Output packets are stamped with the step they fired in."""
+        packets = np.asarray(packets)
+        ids = packets["neuron_id"].astype(np.intp)
+        ts = packets["timestamp"].astype(np.int64)
+        _check_stream(ts, stop_ts)
+        self.stats = EngineStats(packets_in=int(ts.size))
+        log = self.activation_log = [] if self.activation_log is not None else None
+        cuts = np.flatnonzero(ts[1:] != ts[:-1]) + 1
+        steps = dict(zip(ts[np.r_[0, cuts]].tolist(), np.split(ids, cuts))) if ts.size else {}
+        fired_per_step = []
+        for t in range(stop_ts):
+            step_ids = steps.get(t)
+            n = 0 if step_ids is None else self.integrate_handler(step_ids)
+            if not n:
                 self.stats.idle_steps += 1
-            self.controller.phase = Phase.LEAKING
             self.leak_handler()
-            self._log(t, Phase.LEAKING, self.store.n_exc)
-            self.controller.phase = Phase.FIRING
             fired = self.fire_handler(t)
-            self._log(t, Phase.FIRING, len(fired))
             self.stats.timesteps += 1
-            self._step_packets = 0
-            # drain the output buffer like an attached consumer would
-            while len(self.output_fifo):
-                outputs.append(self.output_fifo.pop())
-            self.controller.phase = Phase.INTEGRATING
-        return outputs
-
-    def run(self, packets: Iterable[AerPacket], stop_ts: int) -> RunResult:
-        """Drive the full controller loop over an input stream.
-
-        Simulates timesteps ``0 .. stop_ts - 1``. Packets must arrive with
-        non-decreasing timestamps below ``stop_ts``; a violation raises
-        ``ProtocolError``. Packets for a future timestep first close every
-        step up to it. After the stream ends the remaining steps run dry.
-        """
-        self.stats = EngineStats()
-        self.controller = ControllerState(current_timestamp=0, phase=Phase.IDLE)
-        if self.activation_log is not None:
-            self.activation_log = []
-        self._step_packets = 0
-        outputs: list[AerPacket] = []
-        current = 0
-        started = False
-        source: Iterator[AerPacket] = iter(packets)
-        exhausted = False
-        while True:
-            while not exhausted and not self.input_fifo.is_full:
-                nxt = next(source, None)
-                if nxt is None:
-                    exhausted = True
-                    break
-                self.input_fifo.push(nxt)
-                self.stats.packets_in += 1
-            if len(self.input_fifo) == 0:
-                break
-            packet = self.input_fifo.pop()
-            if packet.timestamp < current:
-                raise ProtocolError(
-                    f"timestamp went backwards: {packet.timestamp} after {current}"
-                )
-            if packet.timestamp >= stop_ts:
-                raise ProtocolError(
-                    f"packet timestamp {packet.timestamp} is past stop_ts {stop_ts}"
-                )
-            if not started:
-                self.controller.phase = Phase.INTEGRATING
-                started = True
-            if packet.timestamp > current:
-                outputs.extend(self.run_timestep_boundary(current, packet.timestamp))
-                current = packet.timestamp
-            self.controller.current_timestamp = current
-            self.integrate_handler(packet)
-        if current < stop_ts:
-            if not started and stop_ts > 0:
-                self.controller.phase = Phase.INTEGRATING
-            outputs.extend(self.run_timestep_boundary(current, stop_ts))
-        self.controller.current_timestamp = stop_ts
-        self.controller.phase = Phase.IDLE
+            fired_per_step.append(fired)
+            if log is not None:
+                log += [(t, "integrate", n), (t, "leak", self.store.n_exc),
+                        (t, "fire", int(fired.size))]
+        counts = np.array([f.size for f in fired_per_step], dtype=np.intp)
+        outputs = packet_array(np.concatenate([np.empty(0, np.intp)] + fired_per_step),
+                               np.repeat(np.arange(counts.size), counts))
         return RunResult(outputs=outputs, stats=self.stats)
 
 

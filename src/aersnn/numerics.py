@@ -289,7 +289,9 @@ def exp_decay_reference(x0: float, t: float, tau: float) -> float:
 def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:
     if shift <= 0:
         return product << (-shift)
-    return np.where(product < 0, -((-product) >> shift), product >> shift)
+    # arithmetic shifts floor; adding 2**shift - 1 to negatives (the sign
+    # mask selects them) turns the floor into truncation toward zero
+    return (product + ((product >> 63) & ((1 << shift) - 1))) >> shift
 
 
 def quantize_array(values: np.ndarray, fmt: QFormat) -> np.ndarray:

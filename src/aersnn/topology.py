@@ -75,7 +75,8 @@ class StateStore:
 
     Arrays are float64 in float mode and int64 raw mantissas in fixed mode
     (voltage-format for voltages, traces and pending inhibition,
-    weight-format for the synapse matrix).
+    weight-format for the synapse matrix). The synapse matrix is held
+    column-major; ``tobytes`` and checkpoints still serialize it row-major.
     """
 
     def __init__(self, n_input: int, n_exc: int, numeric: NumericSpec, v_rest: float):
@@ -91,7 +92,8 @@ class StateStore:
             self.v_rest_raw = 0
             dtype = np.float64
             rest = v_rest
-        self.w = np.zeros((n_input, n_exc), dtype=dtype)
+        # column-major: potentiation updates whole columns
+        self.w = np.zeros((n_input, n_exc), dtype=dtype, order="F")
         self.exc_v = np.full(n_exc, rest, dtype=dtype)
         self.exc_x = np.zeros(n_exc, dtype=dtype)
         self.input_x = np.zeros(n_input, dtype=dtype)
@@ -99,7 +101,7 @@ class StateStore:
 
     def copy(self) -> "StateStore":
         dup = StateStore(self.n_input, self.n_exc, self.numeric, self.v_rest)
-        dup.w = self.w.copy()
+        dup.w = self.w.copy(order="F")
         dup.exc_v = self.exc_v.copy()
         dup.exc_x = self.exc_x.copy()
         dup.input_x = self.input_x.copy()
@@ -137,26 +139,40 @@ def build_network(
     hi = sp.w_max - INIT_MARGIN * span
     weights = rng.uniform(lo, hi, size=(tp.n_input, tp.n_exc))
     if numeric.is_fixed:
-        store.w = quantize_array(weights, numeric.w_format)
-    else:
-        store.w = weights
+        weights = quantize_array(weights, numeric.w_format)
+    store.w = np.asfortranarray(weights)
     return store
 
 
 def queue_inhibition(store: StateStore, fired: Iterable[int], w_inh: float) -> None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
     except the firing one, once per firing neuron. Applied and cleared by
-    the next leak phase."""
+    the next leak phase.
+
+    Closed form of the per-neuron loop: with k distinct neurons firing,
+    every other neuron is credited k times and each firing one k - 1
+    times. Fixed-point credits saturate at the format top, and saturating
+    adds of a nonnegative amount sum to ``min(total, top)``. Float credits
+    equal the sequential loop's when ``pending`` holds no float
+    inhibition yet, which is so at fire time, right after the leak cleared
+    it.
+    """
+    fired = np.asarray(fired if isinstance(fired, np.ndarray) else list(fired), dtype=np.intp)
+    k = fired.size
+    if not k:
+        return
     if store.numeric.is_fixed:
         amount = to_fixed(w_inh, store.numeric.v_format).raw
-        top = store.numeric.v_format.raw_max
-        for j in sorted(fired):
-            store.pending[:j] = np.minimum(store.pending[:j] + amount, top)
-            store.pending[j + 1:] = np.minimum(store.pending[j + 1:] + amount, top)
+        credit = np.full(store.n_exc, k * amount, dtype=np.int64)
+        credit[fired] -= amount
+        np.minimum(store.pending + credit, store.numeric.v_format.raw_max,
+                   out=store.pending)
     else:
-        for j in sorted(fired):
-            store.pending[:j] += w_inh
-            store.pending[j + 1:] += w_inh
+        # sums[m - 1] is w_inh added m times, in sequence
+        sums = np.cumsum(np.full(k, float(w_inh)))
+        credit = np.full(store.n_exc, sums[-1])
+        credit[fired] = sums[-2] if k > 1 else 0.0
+        store.pending += credit
 
 
 def reset_for_sample(store: StateStore) -> None:
@@ -235,7 +251,7 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
         arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
         arrays.append(arr.astype(target_dtype))
         offset += count * dtype.itemsize
-    store.w = arrays[0].reshape(n_input, n_exc)
+    store.w = np.asfortranarray(arrays[0].reshape(n_input, n_exc))
     store.exc_v, store.exc_x, store.input_x, store.pending = arrays[1:]
     return store, seed, digest
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from aersnn.dynamics import LifParams, TraceParams
-from aersnn.event_engine import AerPacket, EventEngine
+from aersnn.event_engine import EventEngine, packet_array
 from aersnn.numerics import NumericSpec
 from aersnn.plasticity import StdpParams
 from aersnn.topology import TopologyParams, build_network
@@ -42,7 +42,7 @@ def make_engine(
 def grid_to_packets(grid):
     """Boolean T x n grid to AER packets sorted by (timestamp, neuron id)."""
     ts, ids = np.nonzero(np.asarray(grid, dtype=bool))
-    return [AerPacket(int(i), int(t)) for t, i in zip(ts, ids)]
+    return packet_array(ids, ts)
 
 
 def write_idx_images(path, images):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aersnn.cli import main
-from aersnn.event_engine import AerPacket, read_aer_file, write_aer_file
+from aersnn.event_engine import packet_array, read_aer_file, write_aer_file
 from aersnn.topology import load_store
 
 from conftest import four_class_beats, make_idx_digit_dir, write_beat_csv
@@ -234,8 +234,8 @@ class TestEncode:
         engine = build_engine(parsed, store)
         engine.learning = False
         packets = read_aer_file(enc / "trace.aer")
-        result = engine.run(packets, stop_ts=max(p.timestamp for p in packets) + 1)
-        assert read_aer_file(rp / "replay_output.aer") == result.outputs
+        result = engine.run(packets, stop_ts=int(packets.timestamp.max()) + 1)
+        assert np.array_equal(read_aer_file(rp / "replay_output.aer"), result.outputs)
 
 
 class TestReplayProtocol:
@@ -244,8 +244,37 @@ class TestReplayProtocol:
         out = tmp / "out"
         assert run_cli("train", "--config", cfg, "--out", out) == 0
         bad_trace = tmp / "bad.aer"
-        write_aer_file(bad_trace, [AerPacket(0, 5), AerPacket(0, 4), AerPacket(0, 9)])
+        write_aer_file(bad_trace, packet_array([0, 0, 0], [5, 4, 9]))
         replay_cfg = tmp / "replay.cfg"
         replay_cfg.write_text(cfg.read_text() + f"data.aer_trace = {bad_trace}\n")
         assert run_cli("eval", "--config", replay_cfg, "--out", tmp / "rp",
                        "--checkpoint", out / "checkpoint.aern") == 3
+
+    def test_fifo_overflow_exit_3(self, workspace, capsys):
+        # the tiny network fires several neurons per step; an output FIFO
+        # of one packet cannot hold them
+        tmp, cfg = workspace
+        small = tmp / "small_fifo.cfg"
+        small.write_text(cfg.read_text() + "engine.fifo_capacity = 1\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", small, "--out", tmp / "x") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("protocol error:")
+
+    @pytest.mark.parametrize("cut", [1, 5])
+    def test_malformed_trace_exit_2(self, workspace, capsys, cut):
+        # a trace cut short of whole 6-byte packets is an IO error, not a crash
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run_cli("train", "--config", cfg, "--out", out) == 0
+        trace = tmp / "cut.aer"
+        write_aer_file(trace, packet_array([0, 1, 2], [0, 1, 2]))
+        trace.write_bytes(trace.read_bytes()[:-cut])
+        replay_cfg = tmp / "replay.cfg"
+        replay_cfg.write_text(cfg.read_text() + f"data.aer_trace = {trace}\n")
+        capsys.readouterr()
+        assert run_cli("eval", "--config", replay_cfg, "--out", tmp / "rp",
+                       "--checkpoint", out / "checkpoint.aern") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:")
+        assert not (tmp / "rp").exists()

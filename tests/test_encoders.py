@@ -38,13 +38,13 @@ class TestEncoderParams:
 class TestPoissonEncode:
     def test_zero_features_yield_empty_stream(self):
         s = Sample(features=np.zeros(8), label=0)
-        assert poisson_encode(s, EncoderParams(timesteps=50, max_rate=1.0)) == []
+        assert poisson_encode(s, EncoderParams(timesteps=50, max_rate=1.0)).size == 0
 
     def test_saturated_feature_fires_every_step(self):
         s = Sample(features=np.array([1.0, 0.0]), label=0)
         packets = poisson_encode(s, EncoderParams(timesteps=40, max_rate=1.0))
-        assert [p.timestamp for p in packets] == list(range(40))
-        assert all(p.neuron_id == 0 for p in packets)
+        assert packets.timestamp.tolist() == list(range(40))
+        assert np.all(packets.neuron_id == 0)
 
     def test_binomial_concentration(self):
         s = Sample(features=np.array([0.5]), label=0)
@@ -68,13 +68,13 @@ class TestPoissonEncode:
         rng = np.random.default_rng(4)
         s = Sample(features=rng.random(30), label=0)
         packets = poisson_encode(s, EncoderParams(timesteps=80, max_rate=0.5, seed=9))
-        keys = [(p.timestamp, p.neuron_id) for p in packets]
+        keys = list(zip(packets.timestamp.tolist(), packets.neuron_id.tolist()))
         assert keys == sorted(keys)
 
     def test_same_seed_same_stream(self):
         s = Sample(features=np.linspace(0, 1, 20), label=3)
         p = EncoderParams(timesteps=60, max_rate=0.3, seed=123)
-        assert poisson_encode(s, p) == poisson_encode(s, p)
+        assert np.array_equal(poisson_encode(s, p), poisson_encode(s, p))
 
     def test_rejects_out_of_range_features(self):
         with pytest.raises(EncodingError):
@@ -89,11 +89,11 @@ class TestRateEncodeEcg:
     def test_same_mechanism_as_poisson(self):
         s = Sample(features=np.linspace(0, 1, 251), label=1)
         p = EncoderParams(timesteps=100, max_rate=0.25, seed=5)
-        assert rate_encode_ecg(s, p) == poisson_encode(s, p)
+        assert np.array_equal(rate_encode_ecg(s, p), poisson_encode(s, p))
 
     def test_zero_beat_is_silent(self):
         s = Sample(features=np.zeros(251), label=0)
-        assert rate_encode_ecg(s, EncoderParams(timesteps=100, max_rate=0.25)) == []
+        assert rate_encode_ecg(s, EncoderParams(timesteps=100, max_rate=0.25)).size == 0
 
 
 class TestLoadMnist:

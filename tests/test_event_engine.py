@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aersnn.event_engine import (
-    AerPacket,
-    EventFifo,
     FifoOverflowError,
-    Phase,
     ProtocolError,
-    decode_packet,
-    encode_packet,
+    PACKET_DTYPE,
+    packet_array,
     read_aer_file,
     read_aer_text,
     write_aer_file,
@@ -22,71 +19,68 @@ from conftest import grid_to_packets, make_engine
 
 class TestPacketCodec:
     def test_all_zero_layout(self):
-        assert encode_packet(AerPacket(0, 0)) == bytes(6)
+        assert packet_array([0], [0]).tobytes() == bytes(6)
 
     def test_little_endian_layout(self):
-        assert encode_packet(AerPacket(5, 3)) == bytes([5, 0, 3, 0, 0, 0])
+        assert packet_array([5], [3]).tobytes() == bytes([5, 0, 3, 0, 0, 0])
 
     @given(st.integers(min_value=0, max_value=0xFFFF),
            st.integers(min_value=0, max_value=0xFFFFFFFF))
     def test_round_trip_identity(self, nid, ts):
-        p = AerPacket(nid, ts)
-        assert decode_packet(encode_packet(p)) == p
+        p = packet_array([nid], [ts])
+        assert np.array_equal(np.frombuffer(p.tobytes(), dtype=PACKET_DTYPE), p)
 
-    def test_decode_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            decode_packet(b"\x00" * 5)
-        with pytest.raises(ValueError):
-            decode_packet(b"\x00" * 7)
+    def test_decode_rejects_wrong_length(self, tmp_path):
+        path = tmp_path / "trace.aer"
+        for size in (5, 7):
+            path.write_bytes(b"\x00" * size)
+            with pytest.raises(ValueError):
+                read_aer_file(path)
 
     def test_field_ranges_enforced(self):
         with pytest.raises(ValueError):
-            AerPacket(0x10000, 0)
+            packet_array([0x10000], [0])
         with pytest.raises(ValueError):
-            AerPacket(0, -1)
+            packet_array([0], [-1])
+        with pytest.raises(ValueError):
+            packet_array([0], [0x100000000])
 
     def test_binary_trace_file_round_trip(self, tmp_path):
-        packets = [AerPacket(3, 0), AerPacket(1, 2), AerPacket(9, 2)]
+        packets = packet_array([3, 1, 9], [0, 2, 2])
         path = tmp_path / "trace.aer"
         assert write_aer_file(path, packets) == 3
         assert path.stat().st_size == 6 * 3
-        assert read_aer_file(path) == packets
+        assert np.array_equal(read_aer_file(path), packets)
 
     def test_text_trace_file_round_trip(self, tmp_path):
-        packets = [AerPacket(3, 0), AerPacket(1, 2)]
+        packets = packet_array([3, 1], [0, 2])
         path = tmp_path / "trace.txt"
         write_aer_text(path, packets)
         assert path.read_text() == "0,3\n2,1\n"
-        assert read_aer_text(path) == packets
+        assert np.array_equal(read_aer_text(path), packets)
 
 
 class TestEventFifo:
-    def test_pop_order_equals_push_order(self):
-        fifo = EventFifo(capacity=8)
-        packets = [AerPacket(i, 0) for i in range(5)]
-        for p in packets:
-            fifo.push(p)
-        assert [fifo.pop() for _ in range(5)] == packets
-
     def test_overflow_raises(self):
-        fifo = EventFifo(capacity=2)
-        fifo.push(AerPacket(0, 0))
-        fifo.push(AerPacket(1, 0))
-        assert fifo.is_full
+        # the output buffer drains every step and holds fifo_capacity packets
+        eng = make_engine(n_exc=3, fifo_capacity=2)
+        eng.store.exc_v[:] = [1.5, 1.5, 0.0]
+        assert eng.fire_handler(0).tolist() == [0, 1]
+        eng.store.exc_v[:] = 1.5
         with pytest.raises(FifoOverflowError):
-            fifo.push(AerPacket(2, 0))
+            eng.fire_handler(1)
 
 
 class TestIntegrateHandler:
     def test_row_integration(self):
         eng = make_engine(n_input=1, n_exc=2, weights=[[0.3, 0.4]])
-        assert eng.integrate_handler(AerPacket(0, 0))
+        assert eng.integrate_handler(np.array([0])) == 1
         assert eng.store.exc_v.tolist() == [0.3, 0.4]
 
     def test_zero_weights_still_apply_ltd(self):
         eng = make_engine(n_input=1, n_exc=2, weights=[[0.5, 0.5]])
         eng.store.exc_x[:] = 2.0
-        eng.integrate_handler(AerPacket(0, 0))
+        eng.integrate_handler(np.array([0]))
         # depression by alpha_post * x_post = 0.005 * 2
         assert eng.store.w[0].tolist() == [0.49, 0.49]
 
@@ -94,20 +88,31 @@ class TestIntegrateHandler:
         eng = make_engine(learning=False)
         before = eng.store.w.tobytes()
         eng.store.exc_x[:] = 3.0
-        eng.integrate_handler(AerPacket(2, 0))
+        eng.integrate_handler(np.array([2]))
         assert eng.store.w.tobytes() == before
         assert np.any(eng.store.exc_v != 0.0)
 
     def test_out_of_range_id_dropped_and_counted(self):
         eng = make_engine(n_input=4)
-        assert not eng.integrate_handler(AerPacket(4, 0))
+        assert eng.integrate_handler(np.array([4])) == 0
         assert eng.stats.packets_dropped == 1
         assert eng.stats.packets_integrated == 0
         assert np.all(eng.store.exc_v == 0.0)
 
+    def test_repeated_id_integrates_the_depressed_row(self):
+        # the second spike of input 0 in the step sees the row after the
+        # first spike's depression: v = w + clip(w - a_post * x)
+        eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]])
+        eng.store.exc_x[:] = 2.0
+        assert eng.integrate_handler(np.array([0, 0])) == 2
+        depressed = np.clip(0.5 - 0.005 * 2.0, 0.0, 1.0)
+        assert eng.store.exc_v[0] == 0.5 + depressed
+        assert eng.store.w[0, 0] == np.clip(depressed - 0.005 * 2.0, 0.0, 1.0)
+        assert eng.store.input_x[0] == 2.0
+
     def test_bumps_input_trace_after_ltd(self):
         eng = make_engine(n_input=2, n_exc=1, weights=[[0.5], [0.5]])
-        eng.integrate_handler(AerPacket(1, 0))
+        eng.integrate_handler(np.array([1]))
         assert eng.store.input_x.tolist() == [0.0, 1.0]
 
 
@@ -147,7 +152,7 @@ class TestFireHandler:
         eng = make_engine()
         eng.store.exc_v[:] = 0.99
         w_before = eng.store.w.tobytes()
-        assert eng.fire_handler(5) == []
+        assert eng.fire_handler(5).size == 0
         assert eng.store.w.tobytes() == w_before
 
     def test_single_fire_potentiates_own_column_only(self):
@@ -155,7 +160,7 @@ class TestFireHandler:
         eng.store.input_x[:] = [2.0, 0.0]
         eng.store.exc_v[:] = [1.2, 0.3]
         out = eng.fire_handler(7)
-        assert out == [AerPacket(0, 7)]
+        assert out.tolist() == [0]
         # column 0 gains alpha_pre * x_pre, column 1 untouched
         assert eng.store.w[:, 0].tolist() == [0.52, 0.5]
         assert eng.store.w[:, 1].tolist() == [0.5, 0.5]
@@ -165,29 +170,28 @@ class TestFireHandler:
     def test_exact_threshold_fires(self):
         eng = make_engine()
         eng.store.exc_v[0] = 1.0
-        assert eng.fire_handler(0) == [AerPacket(0, 0)]
+        assert eng.fire_handler(0).tolist() == [0]
 
     def test_simultaneous_fires_ascending_and_mutual_inhibition(self):
         eng = make_engine(n_exc=3, w_inh=0.5)
         eng.store.exc_v[:] = [1.5, 0.0, 1.2]
         out = eng.fire_handler(4)
-        assert out == [AerPacket(0, 4), AerPacket(2, 4)]
+        assert out.tolist() == [0, 2]
         assert eng.store.pending.tolist() == [0.5, 1.0, 0.5]
 
 
 class TestRun:
     def test_empty_input_runs_dry_cycles(self):
         eng = make_engine()
-        res = eng.run([], stop_ts=10)
-        assert res.outputs == []
+        res = eng.run(packet_array([], []), stop_ts=10)
+        assert res.outputs.size == 0
         assert res.stats.leak_activations == 10
         assert res.stats.fire_activations == 10
         assert res.stats.idle_steps == 10
-        assert eng.controller.phase is Phase.IDLE
 
     def test_gap_runs_one_cycle_per_elapsed_step(self):
         eng = make_engine(n_input=1, n_exc=1, weights=[[0.4]], learning=False)
-        res = eng.run([AerPacket(0, 0), AerPacket(0, 3)], stop_ts=4)
+        res = eng.run(packet_array([0, 0], [0, 3]), stop_ts=4)
         # v after t0 leak: 0.4*0.99; two more leaks before t3 integration
         expected = 0.4 * 0.99**3 + 0.4
         expected -= expected * 0.01
@@ -197,16 +201,25 @@ class TestRun:
     def test_decreasing_timestamp_aborts(self):
         eng = make_engine()
         with pytest.raises(ProtocolError):
-            eng.run([AerPacket(0, 5), AerPacket(0, 4)], stop_ts=10)
+            eng.run(packet_array([0, 0], [5, 4]), stop_ts=10)
+
+    def test_rejected_stream_leaves_store_untouched(self):
+        eng = make_engine()
+        eng.store.exc_v[:] = 0.7
+        eng.store.exc_x[:] = 1.5
+        before = eng.store.copy()
+        with pytest.raises(ProtocolError):
+            eng.run(packet_array([0, 1, 2, 3], [0, 5, 4, 6]), stop_ts=10)
+        assert eng.store.state_equal(before)
 
     def test_packet_past_stop_rejected(self):
         eng = make_engine()
         with pytest.raises(ProtocolError):
-            eng.run([AerPacket(0, 10)], stop_ts=10)
+            eng.run(packet_array([0], [10]), stop_ts=10)
 
     def test_packet_conservation(self):
         eng = make_engine(n_input=4)
-        packets = [AerPacket(0, 0), AerPacket(9, 1), AerPacket(2, 1), AerPacket(11, 3)]
+        packets = packet_array([0, 9, 2, 11], [0, 1, 1, 3])
         res = eng.run(packets, stop_ts=5)
         assert res.stats.packets_in == 4
         assert res.stats.packets_integrated + res.stats.packets_dropped == 4
@@ -233,7 +246,7 @@ class TestRun:
         # weight: the neuron fires on a fixed cadence
         eng = make_engine(n_input=1, n_exc=1, weights=[[1.5]], w_inh=0.0,
                           learning=False)
-        packets = [AerPacket(0, t) for t in range(20)]
+        packets = packet_array(np.zeros(20, dtype=int), np.arange(20))
         res = eng.run(packets, stop_ts=20)
         fire_steps = [p.timestamp for p in res.outputs]
         assert fire_steps == list(range(20))
@@ -247,7 +260,7 @@ class TestRun:
                 eng = make_engine(seed=11, numeric=numeric)
                 res = eng.run(grid_to_packets(grid), stop_ts=50)
                 runs.append((res.outputs, eng.store))
-            assert runs[0][0] == runs[1][0]
+            assert np.array_equal(runs[0][0], runs[1][0])
             assert runs[0][1].state_equal(runs[1][1])
 
     def test_activation_count_linear_in_input_spikes(self):
@@ -267,8 +280,8 @@ class TestRun:
 
     def test_run_resets_stats_between_calls(self):
         eng = make_engine()
-        eng.run([AerPacket(0, 0)], stop_ts=2)
-        res = eng.run([], stop_ts=2)
+        eng.run(packet_array([0], [0]), stop_ts=2)
+        res = eng.run(packet_array([], []), stop_ts=2)
         assert res.stats.packets_in == 0
 
 
@@ -277,7 +290,7 @@ class TestBatchedUpdates:
         eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]],
                           accumulate_updates=True)
         eng.store.exc_x[:] = 2.0
-        eng.integrate_handler(AerPacket(0, 0))
+        eng.integrate_handler(np.array([0]))
         # live weights untouched until the flush
         assert eng.store.w[0, 0] == 0.5
         eng.apply_accumulated_updates()

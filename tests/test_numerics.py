@@ -12,6 +12,7 @@ from aersnn.numerics import (
     QFormat,
     VOLTAGE_FORMAT,
     WEIGHT_FORMAT,
+    convert_raw_array,
     exp_decay_reference,
     fixed_add,
     fixed_convert,
@@ -24,7 +25,9 @@ from aersnn.numerics import (
     quantize_array,
     to_fixed,
     to_real,
+    trunc_shift_raw,
 )
+from aersnn.numerics import _trunc_shift_int
 
 Q8_8 = QFormat(8, 8)
 
@@ -234,6 +237,28 @@ class TestRawArrayKernels:
         out = leak_toward_raw(raws, rest.raw, p.decay_raw())
         for raw, got in zip(raws, out):
             assert got == leak_toward(Fixed(int(raw), Q8_8), rest, p).raw
+
+    @given(st.lists(st.one_of(st.integers(-(2**40), 2**40),
+                              st.sampled_from([-(2**40), -1, 0, 1, 2**40])),
+                    min_size=1, max_size=20),
+           st.integers(min_value=-3, max_value=30))
+    def test_trunc_shift_matches_scalar(self, products, shift):
+        got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
+        assert got.tolist() == [_trunc_shift_int(p, shift) for p in products]
+
+    @given(st.sampled_from([(WEIGHT_FORMAT, VOLTAGE_FORMAT), (VOLTAGE_FORMAT, WEIGHT_FORMAT),
+                            (Q8_8, QFormat(3, 8)), (QFormat(3, 8), Q8_8)]),
+           st.data())
+    def test_convert_raw_array_matches_scalar(self, formats, data):
+        src, dst = formats
+        raw = st.integers(src.raw_min, src.raw_max)
+        rails = st.sampled_from([src.raw_min, src.raw_min + 1, -1, 0, 1, src.raw_max])
+        # odd multiples of half the dropped LSB: ties for the rounding
+        half = 1 << max(src.frac_bits - dst.frac_bits - 1, 0)
+        ties = st.integers(-9, 8).map(lambda m: (2 * m + 1) * half)
+        raws = data.draw(st.lists(st.one_of(raw, rails, ties), min_size=1, max_size=20))
+        got = convert_raw_array(np.array(raws, dtype=np.int64), src, dst)
+        assert got.tolist() == [fixed_convert(Fixed(r, src), dst).raw for r in raws]
 
     def test_quantize_array_matches_scalar(self):
         vals = np.array([0.0, 0.5, -0.5, 1.0 / 3.0, 300.0, -300.0])

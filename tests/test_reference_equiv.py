@@ -134,3 +134,29 @@ class TestEngineMatchesDense:
             *run_both(lif, trace, stdp, topology, grid, True, seed=5),
             label="dense grid",
         )
+
+    def test_paper_density_fuzz(self):
+        # 784 x 100 (and 784 x 1) with 8 to 100 input spikes per step: long
+        # row sums, where a pairwise reduction would round differently
+        rng = np.random.default_rng(20260917)
+        for case, n_exc in enumerate((100, 100, 100, 100, 1, 1)):
+            steps = 20
+            grid = np.zeros((steps, 784), dtype=bool)
+            for t in range(steps):
+                grid[t, rng.choice(784, int(rng.integers(8, 101)), replace=False)] = True
+            lif = LifParams(v_rest=float(rng.uniform(-0.5, 0.5)),
+                            # a lone neuron must not reset every step,
+                            # which would hide voltage rounding
+                            v_thresh=float(rng.uniform(5.0, 30.0) * (10 if n_exc == 1 else 1)),
+                            tau_v=float(rng.uniform(20.0, 200.0)), dt=1.0)
+            trace = TraceParams(tau_x=float(rng.uniform(5.0, 50.0)), alpha=1.0,
+                                x_max=4.0, dt=1.0)
+            stdp = StdpParams(alpha_pre=float(rng.uniform(0.001, 0.05)),
+                              alpha_post=float(rng.uniform(0.001, 0.05)))
+            topology = TopologyParams(n_input=784, n_exc=n_exc,
+                                      w_inh=float(rng.uniform(0.0, 2.0)))
+            assert_bit_identical(
+                *run_both(lif, trace, stdp, topology, grid, case % 2 == 0,
+                          seed=int(rng.integers(0, 2**31))),
+                label=f"paper density case {case}",
+            )
