@@ -20,7 +20,6 @@ from .encoders import (
     load_ecg_beats,
     load_mnist,
     poisson_encode,
-    rate_encode_ecg,
     split_samples,
 )
 from .event_engine import (

@@ -124,13 +124,19 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
             raise ConfigError(
                 f"mnist needs topology.n_input = 784, got {cfg.n_input}"
             )
-        return load_mnist(cfg.mnist_dir, "train"), load_mnist(cfg.mnist_dir, "test")
-    beats = load_ecg_beats(cfg.ecg_csv)
-    if cfg.n_input != len(beats[0].features):
-        raise ConfigError(
-            f"ecg needs topology.n_input = {len(beats[0].features)}, got {cfg.n_input}"
-        )
-    return split_samples(beats, cfg.test_fraction, derive_seed(cfg.seed, STREAM_SPLIT))
+        train, test = load_mnist(cfg.mnist_dir, "train"), load_mnist(cfg.mnist_dir, "test")
+    else:
+        beats = load_ecg_beats(cfg.ecg_csv)
+        if cfg.n_input != len(beats[0].features):
+            raise ConfigError(
+                f"ecg needs topology.n_input = {len(beats[0].features)}, got {cfg.n_input}"
+            )
+        train, test = split_samples(beats, cfg.test_fraction, derive_seed(cfg.seed, STREAM_SPLIT))
+    n_classes = cfg.resolved_n_classes()
+    top = max((s.label for s in train + test), default=-1)
+    if top >= n_classes:
+        raise ConfigError(f"dataset has class {top}, data.n_classes is only {n_classes}")
+    return train, test
 
 
 def _load_checkpoint(path: Path, cfg: RunConfig):
@@ -235,7 +241,10 @@ def cmd_eval(args) -> int:
     store = _load_checkpoint(args.checkpoint, cfg)
     labels_path = args.checkpoint.parent / LABELS_NAME
     with open(labels_path, "r", encoding="utf-8") as fh:
-        labels = NeuronLabels.from_dict(json.loads(fh.read()))
+        try:
+            labels = NeuronLabels.from_dict(json.loads(fh.read()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetError(f"{labels_path}: malformed labels: {exc!r}") from exc
     if labels.label.shape[0] != cfg.n_exc:
         raise ConfigError(
             f"labels cover {labels.label.shape[0]} neurons, config has {cfg.n_exc}"

@@ -172,6 +172,8 @@ class RunConfig:
             raise ConfigError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("train_samples", "eval_samples"):
             if getattr(self, name) < -1:
                 raise ConfigError(f"{name} must be >= -1 (-1 means the whole split)")

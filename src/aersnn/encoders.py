@@ -36,7 +36,6 @@ __all__ = [
     "EncodingError",
     "DatasetError",
     "poisson_encode",
-    "rate_encode_ecg",
     "load_mnist",
     "load_ecg_beats",
     "split_samples",
@@ -94,12 +93,6 @@ def poisson_encode(sample: Sample, p: EncoderParams) -> np.recarray:
     grid = draws < features * p.max_rate
     ts, ids = np.nonzero(grid)
     return packet_array(ids, ts)
-
-
-def rate_encode_ecg(sample: Sample, p: EncoderParams) -> np.recarray:
-    """Heartbeat encoding: same Bernoulli mechanism, conventionally run
-    with a 100-step window."""
-    return poisson_encode(sample, p)
 
 
 def _open_maybe_gzip(path: Path):

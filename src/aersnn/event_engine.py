@@ -48,9 +48,9 @@ numeric modes, because:
 * pending inhibition is zero at fire time, as the leak just cleared it;
   ``queue_inhibition`` relies on that for its closed form.
 
-Arithmetically the handlers match the scalar transitions of the dynamics
-and plasticity modules, in the float or fixed semantics of the numerics
-module depending on the store's numeric mode.
+No handler tests the numeric mode: the store's arithmetic object (see
+``numerics``) does each float- or fixed-specific step, and with it the
+handlers match the scalar dynamics and plasticity transitions in both.
 """
 
 from __future__ import annotations
@@ -62,15 +62,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import LifParams, TraceParams
-from .numerics import (
-    COEF_FORMAT,
-    DecayParams,
-    convert_raw_array,
-    leak_decay_raw,
-    leak_toward_raw,
-    to_fixed,
-    trunc_shift_raw,
-)
+from .numerics import DecayParams
 from .plasticity import StdpParams
 from .topology import StateStore, TopologyParams, queue_inhibition
 
@@ -86,7 +78,6 @@ __all__ = [
     "write_aer_file",
     "read_aer_file",
     "write_aer_text",
-    "read_aer_text",
 ]
 
 PACKET_DTYPE = np.dtype([("neuron_id", "<u2"), ("timestamp", "<u4")])
@@ -146,12 +137,6 @@ def write_aer_text(path, packets: np.ndarray) -> int:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, rows, fmt="%d", delimiter=",")
     return len(packets)
-
-
-def read_aer_text(path) -> np.recarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs = [line.split(",") for line in fh if line.strip()]
-    return packet_array([int(i) for _, i in pairs], [int(t) for t, _ in pairs])
 
 
 @dataclass
@@ -252,52 +237,24 @@ class EventEngine:
         self.activation_log: list[tuple[int, str, int]] | None = (
             [] if log_activations else None
         )
-        self._fixed = store.numeric.is_fixed
         self._w_delta = None
         if accumulate_updates:
             self._w_delta = np.zeros_like(store.w)
 
-        decay_v = DecayParams(tau=lif.tau_v, dt=lif.dt)
-        decay_x = DecayParams(tau=trace.tau_x, dt=trace.dt)
-        if self._fixed:
-            vf = store.numeric.v_format
-            wf = store.numeric.w_format
-            self._v_fmt = vf
-            self._w_fmt = wf
-            self._coef_v = decay_v.decay_raw(COEF_FORMAT)
-            self._coef_x = decay_x.decay_raw(COEF_FORMAT)
-            self._thresh = to_fixed(lif.v_thresh, vf).raw
-            self._rest = to_fixed(lif.v_rest, vf).raw
-            self._floor = to_fixed(self.v_floor, vf).raw
-            self._alpha = to_fixed(trace.alpha, vf).raw
-            self._x_max = to_fixed(trace.x_max, vf).raw
-            self._a_pre = to_fixed(stdp.alpha_pre, COEF_FORMAT).raw
-            self._a_post = to_fixed(stdp.alpha_post, COEF_FORMAT).raw
-            self._w_min = to_fixed(stdp.w_min, wf).raw
-            self._w_max = to_fixed(stdp.w_max, wf).raw
-            # learning-rate coef (frac 14) x trace (frac v) -> weight (frac w)
-            self._rate_shift = COEF_FORMAT.frac_bits + vf.frac_bits - wf.frac_bits
-        else:
-            self._decay_v = decay_v.decay
-            self._decay_x = decay_x.decay
-            self._thresh = lif.v_thresh
-            self._rest = lif.v_rest
-            self._floor = self.v_floor
-            self._alpha = trace.alpha
-            self._x_max = trace.x_max
-            self._a_pre = stdp.alpha_pre
-            self._a_post = stdp.alpha_post
-            self._w_min = stdp.w_min
-            self._w_max = stdp.w_max
+        ar = self.arith = store.arith
+        self._decay_v = ar.coef(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)
+        self._decay_x = ar.coef(DecayParams(tau=trace.tau_x, dt=trace.dt).decay)
+        self._thresh = ar.voltage(lif.v_thresh)
+        self._rest = ar.voltage(lif.v_rest)
+        self._floor = ar.voltage(self.v_floor)
+        self._alpha = ar.voltage(trace.alpha)
+        self._x_max = ar.voltage(trace.x_max)
+        self._a_pre = ar.coef(stdp.alpha_pre)
+        self._a_post = ar.coef(stdp.alpha_post)
+        self._w_min = ar.weight(stdp.w_min)
+        self._w_max = ar.weight(stdp.w_max)
 
     # -- handlers ---------------------------------------------------------
-
-    def _rate(self, coef, traces: np.ndarray) -> np.ndarray:
-        """Weight change ``coef * traces``; in fixed mode narrowed to the
-        weight format, truncating toward zero."""
-        if self._fixed:
-            return trunc_shift_raw(coef * traces, self._rate_shift)
-        return coef * traces
 
     def integrate_handler(self, ids: np.ndarray) -> int:
         """Apply one timestep's input spikes, in stream order. Ids outside
@@ -316,25 +273,10 @@ class EventEngine:
 
     def _integrate_distinct(self, sel: np.ndarray) -> None:
         store = self.store
-        v = store.exc_v
         rows = store.w[sel]
-        add = convert_raw_array(rows, self._w_fmt, self._v_fmt) if self._fixed else rows
-        stack = np.concatenate((v[None], add))
-        if self._fixed or v.size == 1:
-            # a reduction over a lone column would run pairwise; a
-            # cumulative sum always adds row after row
-            prefix = np.cumsum(stack, axis=0)
-            fmt = self._v_fmt if self._fixed else None
-            if fmt and (prefix.min() < fmt.raw_min or prefix.max() > fmt.raw_max):
-                for row in add:  # a prefix saturated: add one row at a time
-                    np.clip(v + row, fmt.raw_min, fmt.raw_max, out=v)
-            else:
-                v[:] = prefix[-1]
-        else:
-            # down the rows of a C-ordered stack numpy adds row after row
-            v[:] = np.add.reduce(stack, axis=0)
+        self.arith.add_rows(store.exc_v, rows)
         if self.learning:
-            drop = self._rate(self._a_post, store.exc_x)
+            drop = self.arith.mul_w(store.exc_x, self._a_post)
             if self._w_delta is not None:
                 self._w_delta[sel] -= drop
             else:
@@ -344,21 +286,15 @@ class EventEngine:
         store.input_x[sel] = np.minimum(store.input_x[sel] + self._alpha, self._x_max)
 
     def leak_handler(self) -> None:
-        store = self.store
+        store, ar = self.store, self.arith
         self.stats.leak_activations += 1
-        if self._fixed:
-            v = leak_toward_raw(store.exc_v, self._rest, self._coef_v)
-            v = np.clip(v - store.pending, self._v_fmt.raw_min, self._v_fmt.raw_max)
-            np.maximum(v, self._floor, out=store.exc_v)
-            store.exc_x[:] = leak_decay_raw(store.exc_x, self._coef_x)
-            store.input_x[:] = leak_decay_raw(store.input_x, self._coef_x)
-        else:
-            v = store.exc_v
-            v -= (v - self._rest) * self._decay_v
-            v -= store.pending
-            np.maximum(v, self._floor, out=v)
-            store.exc_x -= store.exc_x * self._decay_x
-            store.input_x -= store.input_x * self._decay_x
+        v = store.exc_v
+        v -= ar.mul_v(v - self._rest, self._decay_v)
+        v -= store.pending
+        ar.saturate_v(v)
+        np.maximum(v, self._floor, out=v)
+        store.exc_x -= ar.mul_v(store.exc_x, self._decay_x)
+        store.input_x -= ar.mul_v(store.input_x, self._decay_x)
         store.pending[:] = 0
 
     def fire_handler(self, ts: int) -> np.ndarray:
@@ -374,7 +310,7 @@ class EventEngine:
             )
         if fired.size:
             if self.learning:
-                gain = self._rate(self._a_pre, store.input_x)[:, None]
+                gain = self.arith.mul_w(store.input_x, self._a_pre)[:, None]
                 if self._w_delta is not None:
                     self._w_delta[:, fired] += gain
                 else:

@@ -23,14 +23,16 @@ expressions above are normative. Any independent implementation that must
 agree with this module bit-for-bit (see the dense reference simulator) has
 to evaluate exactly these operations in this order.
 
-The float kernels accept scalars or numpy arrays; the ``*_raw`` helpers are
-the vectorized fixed-mode equivalents operating on int64 mantissa arrays.
+The scalar kernels accept floats, float arrays and ``Fixed`` values. The
+engine and the store hold one arithmetic object instead, picked once by
+``NumericSpec.arithmetic``: ``FloatArithmetic`` or ``FixedArithmetic``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +41,8 @@ __all__ = [
     "Fixed",
     "DecayParams",
     "NumericSpec",
+    "FloatArithmetic",
+    "FixedArithmetic",
     "VOLTAGE_FORMAT",
     "WEIGHT_FORMAT",
     "COEF_FORMAT",
@@ -53,8 +57,6 @@ __all__ = [
     "exp_decay_reference",
     "quantize_array",
     "convert_raw_array",
-    "leak_decay_raw",
-    "leak_toward_raw",
     "trunc_shift_raw",
 ]
 
@@ -312,18 +314,99 @@ def convert_raw_array(raw: np.ndarray, src: QFormat, dst: QFormat) -> np.ndarray
     return np.clip(out, dst.raw_min, dst.raw_max)
 
 
-def leak_decay_raw(x_raw: np.ndarray, coef_raw: int, coef_fmt: QFormat = COEF_FORMAT) -> np.ndarray:
-    # |delta| <= |x| because coef < 1, so the result needs no saturation.
-    delta = trunc_shift_raw(x_raw * coef_raw, coef_fmt.frac_bits)
-    return x_raw - delta
+class FloatArithmetic:
+    """Float64 values; every operation is the plain IEEE one."""
+
+    dtype = np.float64
+
+    def voltage(self, r: float) -> float:
+        return float(r)
+
+    weight = coef = voltage
+
+    def weights(self, reals: np.ndarray) -> np.ndarray:
+        return np.asarray(reals, dtype=np.float64)
+
+    def mul_v(self, x: np.ndarray, coef: float) -> np.ndarray:
+        return x * coef
+
+    mul_w = mul_v
+
+    def saturate_v(self, v: np.ndarray) -> None:
+        pass
+
+    def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
+        """``v += rows[0]; v += rows[1]; ...`` in place, in that order."""
+        stack = np.concatenate((v[None], rows))
+        if v.size == 1:
+            # a reduction over a lone column would run pairwise; a
+            # cumulative sum always adds row after row
+            v[:] = np.cumsum(stack, axis=0)[-1]
+        else:
+            # down the rows of a C-ordered stack numpy adds row after row
+            v[:] = np.add.reduce(stack, axis=0)
+
+    def add_repeated(self, acc: np.ndarray, amount: float, fewer: np.ndarray) -> None:
+        """Add ``amount`` k = ``fewer.size`` times in sequence to every element
+        of ``acc`` but k - 1 times at ``fewer``; exact while ``acc`` is zero."""
+        sums = np.cumsum(np.full(fewer.size, amount))  # sums[m - 1]: m adds
+        credit = np.full(acc.size, sums[-1])
+        credit[fewer] = sums[-2] if fewer.size > 1 else 0.0
+        acc += credit
 
 
-def leak_toward_raw(
-    v_raw: np.ndarray, rest_raw: int, coef_raw: int, coef_fmt: QFormat = COEF_FORMAT
-) -> np.ndarray:
-    diff = v_raw - rest_raw
-    delta = trunc_shift_raw(diff * coef_raw, coef_fmt.frac_bits)
-    return v_raw - delta
+class FixedArithmetic:
+    """Int64 mantissas: voltages and traces in ``v_format``, weights in
+    ``w_format``, coefficients in ``COEF_FORMAT``. Products truncate toward
+    zero and voltage sums saturate, as in the scalar ``Fixed`` primitives."""
+
+    dtype = np.int64
+
+    def __init__(self, v_format: QFormat, w_format: QFormat):
+        self.v_format, self.w_format = v_format, w_format
+        self.v_min, self.v_max = v_format.raw_min, v_format.raw_max
+        # coef (frac 14) x trace (frac v) -> weight (frac w)
+        self.w_shift = COEF_FORMAT.frac_bits + v_format.frac_bits - w_format.frac_bits
+
+    def voltage(self, r: float) -> int:
+        return to_fixed(r, self.v_format).raw
+
+    def weight(self, r: float) -> int:
+        return to_fixed(r, self.w_format).raw
+
+    def coef(self, r: float) -> int:
+        return to_fixed(r, COEF_FORMAT).raw
+
+    def weights(self, reals: np.ndarray) -> np.ndarray:
+        return quantize_array(reals, self.w_format)
+
+    def mul_v(self, x: np.ndarray, coef: int) -> np.ndarray:
+        # |result| <= |x| as coef < 1, so a leak step needs no saturation
+        return trunc_shift_raw(x * coef, COEF_FORMAT.frac_bits)
+
+    def mul_w(self, x: np.ndarray, coef: int) -> np.ndarray:
+        return trunc_shift_raw(x * coef, self.w_shift)
+
+    def saturate_v(self, v: np.ndarray) -> None:
+        np.clip(v, self.v_min, self.v_max, out=v)
+
+    def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
+        """Saturating ``v += rows[0]; v += rows[1]; ...`` in place; the
+        weight rows are converted to the voltage format first."""
+        add = convert_raw_array(rows, self.w_format, self.v_format)
+        prefix = np.cumsum(np.concatenate((v[None], add)), axis=0)
+        # no prefix out of range means no add saturated
+        if prefix.min() < self.v_min or prefix.max() > self.v_max:
+            for row in add:
+                np.clip(v + row, self.v_min, self.v_max, out=v)
+        else:
+            v[:] = prefix[-1]
+
+    def add_repeated(self, acc: np.ndarray, amount: int, fewer: np.ndarray) -> None:
+        # saturating adds of a nonnegative amount sum to min(total, top)
+        credit = np.full(acc.size, fewer.size * amount, dtype=np.int64)
+        credit[fewer] -= amount
+        np.minimum(acc + credit, self.v_max, out=acc)
 
 
 @dataclass(frozen=True)
@@ -342,3 +425,9 @@ class NumericSpec:
     @property
     def is_fixed(self) -> bool:
         return self.mode == "fixed"
+
+    @cached_property
+    def arithmetic(self) -> FloatArithmetic | FixedArithmetic:
+        if self.is_fixed:
+            return FixedArithmetic(self.v_format, self.w_format)
+        return FloatArithmetic()

@@ -7,7 +7,9 @@ queues a fixed inhibition amount against every other excitatory neuron,
 and the queued total is subtracted from the voltages at the next leak
 phase. All state lives in flat arrays (float64 values in float mode, int64
 mantissas in fixed mode), mirroring a single shared memory updated by one
-engine at a time.
+engine at a time. The numeric mode's arithmetic object, held by the store,
+does every mode-dependent operation; only the checkpoint container reads
+the mode itself.
 
 Checkpoint container (version 1, all integers little-endian):
 
@@ -29,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .numerics import NumericSpec, QFormat, quantize_array, to_fixed
+from .numerics import NumericSpec, QFormat
 from .plasticity import StdpParams
 
 __all__ = [
@@ -77,48 +79,40 @@ class StateStore:
     (voltage-format for voltages, traces and pending inhibition,
     weight-format for the synapse matrix). The synapse matrix is held
     column-major; ``tobytes`` and checkpoints still serialize it row-major.
+    ``rest`` is the real rest voltage ``v_rest`` in store units, the value
+    voltages reset to; ``arith`` is the numeric mode's arithmetic object.
     """
 
     def __init__(self, n_input: int, n_exc: int, numeric: NumericSpec, v_rest: float):
         self.n_input = n_input
         self.n_exc = n_exc
         self.numeric = numeric
+        self.arith = numeric.arithmetic
         self.v_rest = float(v_rest)
-        if numeric.is_fixed:
-            self.v_rest_raw = to_fixed(v_rest, numeric.v_format).raw
-            dtype = np.int64
-            rest = self.v_rest_raw
-        else:
-            self.v_rest_raw = 0
-            dtype = np.float64
-            rest = v_rest
+        self.rest = self.arith.voltage(v_rest)
+        dtype = self.arith.dtype
         # column-major: potentiation updates whole columns
         self.w = np.zeros((n_input, n_exc), dtype=dtype, order="F")
-        self.exc_v = np.full(n_exc, rest, dtype=dtype)
+        self.exc_v = np.full(n_exc, self.rest, dtype=dtype)
         self.exc_x = np.zeros(n_exc, dtype=dtype)
         self.input_x = np.zeros(n_input, dtype=dtype)
         self.pending = np.zeros(n_exc, dtype=dtype)
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The state arrays, in checkpoint payload order."""
+        return self.w, self.exc_v, self.exc_x, self.input_x, self.pending
+
     def copy(self) -> "StateStore":
         dup = StateStore(self.n_input, self.n_exc, self.numeric, self.v_rest)
         dup.w = self.w.copy(order="F")
-        dup.exc_v = self.exc_v.copy()
-        dup.exc_x = self.exc_x.copy()
-        dup.input_x = self.input_x.copy()
-        dup.pending = self.pending.copy()
+        dup.exc_v, dup.exc_x, dup.input_x, dup.pending = (a.copy() for a in self.arrays()[1:])
         return dup
 
     def state_equal(self, other: "StateStore") -> bool:
         """Bit-exact comparison of all state arrays."""
         return (
-            self.n_input == other.n_input
-            and self.n_exc == other.n_exc
-            and self.numeric == other.numeric
-            and self.w.tobytes() == other.w.tobytes()
-            and self.exc_v.tobytes() == other.exc_v.tobytes()
-            and self.exc_x.tobytes() == other.exc_x.tobytes()
-            and self.input_x.tobytes() == other.input_x.tobytes()
-            and self.pending.tobytes() == other.pending.tobytes()
+            (self.n_input, self.n_exc, self.numeric) == (other.n_input, other.n_exc, other.numeric)
+            and all(a.tobytes() == b.tobytes() for a, b in zip(self.arrays(), other.arrays()))
         )
 
 
@@ -138,9 +132,7 @@ def build_network(
     lo = sp.w_min + INIT_MARGIN * span
     hi = sp.w_max - INIT_MARGIN * span
     weights = rng.uniform(lo, hi, size=(tp.n_input, tp.n_exc))
-    if numeric.is_fixed:
-        weights = quantize_array(weights, numeric.w_format)
-    store.w = np.asfortranarray(weights)
+    store.w = np.asfortranarray(store.arith.weights(weights))
     return store
 
 
@@ -151,34 +143,19 @@ def queue_inhibition(store: StateStore, fired: Iterable[int], w_inh: float) -> N
 
     Closed form of the per-neuron loop: with k distinct neurons firing,
     every other neuron is credited k times and each firing one k - 1
-    times. Fixed-point credits saturate at the format top, and saturating
-    adds of a nonnegative amount sum to ``min(total, top)``. Float credits
-    equal the sequential loop's when ``pending`` holds no float
-    inhibition yet, which is so at fire time, right after the leak cleared
-    it.
+    times. Fixed-point credits saturate at the format top. Float credits
+    equal the sequential loop's when ``pending`` holds no inhibition yet,
+    which is so at fire time, right after the leak cleared it.
     """
     fired = np.asarray(fired if isinstance(fired, np.ndarray) else list(fired), dtype=np.intp)
-    k = fired.size
-    if not k:
-        return
-    if store.numeric.is_fixed:
-        amount = to_fixed(w_inh, store.numeric.v_format).raw
-        credit = np.full(store.n_exc, k * amount, dtype=np.int64)
-        credit[fired] -= amount
-        np.minimum(store.pending + credit, store.numeric.v_format.raw_max,
-                   out=store.pending)
-    else:
-        # sums[m - 1] is w_inh added m times, in sequence
-        sums = np.cumsum(np.full(k, float(w_inh)))
-        credit = np.full(store.n_exc, sums[-1])
-        credit[fired] = sums[-2] if k > 1 else 0.0
-        store.pending += credit
+    if fired.size:
+        store.arith.add_repeated(store.pending, store.arith.voltage(w_inh), fired)
 
 
 def reset_for_sample(store: StateStore) -> None:
     """Per-sample boundary: voltages back to rest, traces and pending
     inhibition cleared. Learned weights persist."""
-    store.exc_v[:] = store.v_rest_raw if store.numeric.is_fixed else store.v_rest
+    store.exc_v[:] = store.rest
     store.exc_x[:] = 0
     store.input_x[:] = 0
     store.pending[:] = 0
@@ -211,7 +188,7 @@ def store_to_bytes(store: StateStore, seed: int = 0, config_hash: bytes = b"") -
     )
     dtype = _payload_dtype(numeric)
     parts = [header]
-    for arr in (store.w, store.exc_v, store.exc_x, store.input_x, store.pending):
+    for arr in store.arrays():
         parts.append(arr.astype(dtype).tobytes())
     return b"".join(parts)
 
@@ -244,15 +221,10 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
             f"payload size mismatch: got {len(data)} bytes, expected {expected}"
         )
     store = StateStore(n_input, n_exc, numeric, v_rest)
-    target_dtype = np.int64 if numeric.is_fixed else np.float64
-    offset = _HEADER.size
-    arrays = []
-    for count in counts:
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        arrays.append(arr.astype(target_dtype))
-        offset += count * dtype.itemsize
-    store.w = np.asfortranarray(arrays[0].reshape(n_input, n_exc))
-    store.exc_v, store.exc_x, store.input_x, store.pending = arrays[1:]
+    flat = np.frombuffer(data, dtype=dtype, offset=_HEADER.size)
+    w, *rest = (a.astype(store.arith.dtype) for a in np.split(flat, np.cumsum(counts)[:-1]))
+    store.w = np.asfortranarray(w.reshape(n_input, n_exc))
+    store.exc_v, store.exc_x, store.input_x, store.pending = rest
     return store, seed, digest
 
 

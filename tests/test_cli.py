@@ -278,3 +278,48 @@ class TestReplayProtocol:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("io error:")
         assert not (tmp / "rp").exists()
+
+
+def _eval_with_labels(tmp, cfg, edit):
+    out = tmp / "out"
+    assert run_cli("train", "--config", cfg, "--out", out) == 0
+    labels = out / "labels.json"
+    labels.write_text(edit(labels.read_text()))
+    return ["eval", "--config", cfg, "--checkpoint", out / "checkpoint.aern",
+            "--out", tmp / "ev"]
+
+
+def _without_response(text):
+    doc = json.loads(text)
+    del doc["response"]
+    return json.dumps(doc)
+
+
+def _train_with_three_classes(tmp, cfg):
+    three = tmp / "three.cfg"
+    three.write_text(cfg.read_text() + "data.n_classes = 3\n")
+    return ["train", "--config", three, "--out", tmp / "x"]
+
+
+# name: (expected exit code, stderr prefix, argv builder)
+BOUNDARY_CASES = {
+    "seed-negative": (1, "error:", lambda tmp, cfg: [
+        "train", "--config", cfg, "--seed", -1, "--out", tmp / "x"]),
+    "seed-past-u64": (1, "error:", lambda tmp, cfg: [
+        "train", "--config", cfg, "--seed", 2**64, "--out", tmp / "x"]),
+    "labels-not-json": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
+        tmp, cfg, lambda text: text[:-5])),
+    "labels-without-response": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
+        tmp, cfg, _without_response)),
+    "n-classes-below-labels": (1, "error:", _train_with_three_classes),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_bad_input_exits_with_one_line(workspace, capsys, name):
+    code, prefix, build_argv = BOUNDARY_CASES[name]
+    argv = build_argv(*workspace)
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)

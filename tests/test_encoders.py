@@ -13,7 +13,6 @@ from aersnn.encoders import (
     load_ecg_beats,
     load_mnist,
     poisson_encode,
-    rate_encode_ecg,
     split_samples,
 )
 
@@ -86,14 +85,9 @@ class TestPoissonEncode:
 
 
 class TestRateEncodeEcg:
-    def test_same_mechanism_as_poisson(self):
-        s = Sample(features=np.linspace(0, 1, 251), label=1)
-        p = EncoderParams(timesteps=100, max_rate=0.25, seed=5)
-        assert np.array_equal(rate_encode_ecg(s, p), poisson_encode(s, p))
-
     def test_zero_beat_is_silent(self):
         s = Sample(features=np.zeros(251), label=0)
-        assert rate_encode_ecg(s, EncoderParams(timesteps=100, max_rate=0.25)).size == 0
+        assert poisson_encode(s, EncoderParams(timesteps=100, max_rate=0.25)).size == 0
 
 
 class TestLoadMnist:

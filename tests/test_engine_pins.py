@@ -3,11 +3,13 @@ their final store and their batched weight deltas.
 
 Fixed mode has no independent oracle yet, and the dense float oracle
 cannot express a neuron id repeated within one timestep, so these digests
-are the guard for both. They were recorded from the per-packet engine
+are the guard for both. Most were recorded from the per-packet engine
 that processed one packet at a time, so they pin its sequential
 semantics: saturating fixed-point adds in stream order, repeated ids
 integrating the row as depressed by their earlier occurrence, and
-out-of-range ids dropped.
+out-of-range ids dropped. The rest-below-zero and q4.6-weights cases
+were recorded from the step-batched engine while it still held separate
+float and fixed handlers.
 """
 
 import hashlib
@@ -26,6 +28,11 @@ Q8_8 = NumericSpec(mode="fixed")
 # 3 integer bits: voltages saturate at about +-4 under dense input
 Q3_8 = NumericSpec(mode="fixed", v_format=QFormat(3, 8))
 NARROW_LIF = LifParams(v_rest=0.0, v_thresh=3.5, tau_v=100.0, dt=1.0)
+# a rest level off zero is quantized by the store and by the engine
+REST_LIF = LifParams(v_rest=-0.5, v_thresh=1.0, tau_v=100.0, dt=1.0)
+# fewer weight than voltage fraction bits: rows shift left into voltage
+# units, learning-rate products narrow by 14 + 8 - 6 = 16 bits
+Q4_6_WEIGHTS = NumericSpec(mode="fixed", w_format=QFormat(4, 6))
 
 
 def grid_stream(seed, steps, n_input, rate):
@@ -59,6 +66,8 @@ CASES = {
     "q3.8-dense-accumulate": (dict(NARROW, accumulate_updates=True),
                               grid_stream(5, 60, 16, 0.6)),
     "q8.8-repeats-and-drops": (dict(numeric=Q8_8, n_input=10), messy_stream(6, 70, 10)),
+    "q8.8-rest-below-zero": (dict(numeric=Q8_8, lif=REST_LIF), grid_stream(9, 80, 12, 0.3)),
+    "q4.6-weights": (dict(numeric=Q4_6_WEIGHTS), grid_stream(10, 80, 12, 0.3)),
     "float-repeats-and-drops": (dict(n_input=10), messy_stream(7, 70, 10)),
     "float-repeats-accumulate": (dict(n_input=10, accumulate_updates=True),
                                  messy_stream(8, 70, 10)),
@@ -108,11 +117,23 @@ PINS = {
         None,
         'c3a4400bbcc66d434c7e687b89d52d71528e37759a981f426c9908e576545f39',
     ),
+    'q4.6-weights': (
+        '6929acf1d4a5b8ee8a34d8515e40ab453a3d57be2c1d9449d6b08e6195bea1f9',
+        'f0cdb2844a94856085813edfcc93e8a0074c3a77317e98d9639496b35699e1d0',
+        None,
+        '6239ba2782dff357e1e196440f3ee09be38f6c8ac464c038f29b0dc8eb6f552d',
+    ),
     'q8.8-repeats-and-drops': (
         'b19a4035b58c5706bf5d9deed460ec80c578ffc77157de796689907e9ddcf434',
         'd8b029d4d0ca22ce507b6cd624bbcf32f6a659b9a2de217ec43c5d6edee96186',
         None,
         '1ef6009bee55e7bad3ff1c2a0a536373629b126ff5c8025b25269c768a7679b9',
+    ),
+    'q8.8-rest-below-zero': (
+        'cbb482849c5c12e41e26e95a40c8e9e76137b221dbfc0a6640bc9db00a7cb4e3',
+        'b8ef65c1e36a17823fe2b37761bd91eb743ed26f5b376c905fb7f60b9cfaca00',
+        None,
+        'de1ff68d0f0c5d96f06e467e5e910b3e69d1459ad6e0e85263ccc0d93c99ede3',
     ),
 }
 

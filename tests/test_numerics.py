@@ -19,9 +19,7 @@ from aersnn.numerics import (
     fixed_mul,
     fixed_sub,
     leak_decay,
-    leak_decay_raw,
     leak_toward,
-    leak_toward_raw,
     quantize_array,
     to_fixed,
     to_real,
@@ -30,6 +28,7 @@ from aersnn.numerics import (
 from aersnn.numerics import _trunc_shift_int
 
 Q8_8 = QFormat(8, 8)
+FIXED = NumericSpec(mode="fixed", v_format=Q8_8).arithmetic
 
 
 class TestQFormat:
@@ -226,7 +225,7 @@ class TestRawArrayKernels:
     def test_matches_scalar_leak_decay(self):
         p = DecayParams(tau=6.0, dt=1.0)
         raws = np.array([-32768, -301, -1, 0, 1, 517, 32767], dtype=np.int64)
-        out = leak_decay_raw(raws, p.decay_raw())
+        out = raws - FIXED.mul_v(raws, FIXED.coef(p.decay))
         for raw, got in zip(raws, out):
             assert got == leak_decay(Fixed(int(raw), Q8_8), p).raw
 
@@ -234,7 +233,7 @@ class TestRawArrayKernels:
         p = DecayParams(tau=10.0, dt=1.0)
         rest = to_fixed(-1.0, Q8_8)
         raws = np.array([-32768, -300, 0, 250, 32767], dtype=np.int64)
-        out = leak_toward_raw(raws, rest.raw, p.decay_raw())
+        out = raws - FIXED.mul_v(raws - rest.raw, FIXED.coef(p.decay))
         for raw, got in zip(raws, out):
             assert got == leak_toward(Fixed(int(raw), Q8_8), rest, p).raw
 
