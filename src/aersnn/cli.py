@@ -68,13 +68,14 @@ from .evaluator import (
 from .event_engine import (
     PACKET_DTYPE,
     EngineError,
+    check_store,
     packet_array,
     read_aer_file,
     write_activation_log,
     write_aer_file,
     write_aer_text,
 )
-from .topology import CheckpointError, load_store, reset_for_sample, save_store
+from .topology import CheckpointError, atomic_open, load_store, reset_for_sample, save_store
 
 CHECKPOINT_NAME = "checkpoint.aern"
 LABELS_NAME = "labels.json"
@@ -141,11 +142,10 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
 
 def _load_checkpoint(path: Path, cfg: RunConfig):
     store, seed, _ = load_store(path)
-    if (store.n_input, store.n_exc) != (cfg.n_input, cfg.n_exc):
-        raise ConfigError(
-            f"checkpoint topology {store.n_input}x{store.n_exc} does not match "
-            f"config {cfg.n_input}x{cfg.n_exc}"
-        )
+    try:
+        check_store(store, cfg.lif_params(), cfg.topology_params())
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint does not fit the config: {exc}") from exc
     if store.numeric != cfg.numeric_spec():
         raise ConfigError(
             f"checkpoint numeric mode {store.numeric.mode}/{store.numeric.v_format}/"
@@ -160,7 +160,7 @@ def _json_line(record: dict) -> str:
 
 
 def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 
 

@@ -36,17 +36,26 @@ numeric modes, because:
   stream order: a reduction down the rows of a C-ordered stack, or a
   cumulative sum, never regroups them;
 * the post-synaptic traces do not change within integrate, so every row
-  gets the same depression, applied by one clip of the gathered rows;
+  gets the same depression: it is subtracted from the rows already
+  gathered for the voltage sum, which are clipped in place and scattered
+  back once;
 * fixed-point adds saturate. When no prefix of the cumulative sum leaves
   the voltage format, no add saturated and the last prefix is the result;
   otherwise that step falls back to sequential saturating adds;
 * an id repeated within a step must integrate its row as depressed by its
   earlier occurrence, so the step is split into consecutive runs of
-  distinct ids, each integrated as above;
+  distinct ids, each integrated as above. ``run`` checks once per stream
+  that every id is in range and that the ids of each step ascend; if so,
+  no step is filtered or split;
 * the input traces do not change within fire, so every fired column gets
-  the same potentiation;
-* pending inhibition is zero at fire time, as the leak just cleared it;
-  ``queue_inhibition`` relies on that for its closed form.
+  the same potentiation. The fired ids are ascending; when they form one
+  range of consecutive ids (as when every neuron fires), the columns are
+  potentiated and clipped in place through one slice, otherwise through
+  one gather and scatter. Clips are two-sided, so weights loaded
+  from outside ``[w_min, w_max]`` are brought inside as the oracle does;
+* pending inhibition is zero at fire time, as the leak just cleared it.
+  The credit k firings queue is then a function of k alone, tabulated once
+  per engine for k = 0..n_exc and handed to ``queue_inhibition``.
 
 No handler tests the numeric mode: the store's arithmetic object (see
 ``numerics``) does each float- or fixed-specific step, and with it the
@@ -64,13 +73,14 @@ import numpy as np
 from .dynamics import LifParams, TraceParams
 from .numerics import DecayParams
 from .plasticity import StdpParams
-from .topology import StateStore, TopologyParams, queue_inhibition
+from .topology import StateStore, TopologyParams, inhibition_credit, queue_inhibition
 
 __all__ = [
     "PACKET_DTYPE",
     "EngineStats",
     "EventEngine",
     "RunResult",
+    "check_store",
     "EngineError",
     "ProtocolError",
     "FifoOverflowError",
@@ -176,6 +186,28 @@ def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
         raise ProtocolError(f"packet timestamp {ts[i_past]} is past stop_ts {stop_ts}")
 
 
+def _clean_stream(ids: np.ndarray, ts: np.ndarray, n_input: int) -> bool:
+    """True when every id is inside the input layer and the ids of every
+    timestep ascend, so none repeats (``ts`` is non-decreasing)."""
+    if ids.size and ids.max() >= n_input:
+        return False
+    return bool(((ids[1:] > ids[:-1]) | (ts[1:] != ts[:-1])).all())
+
+
+def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> None:
+    """Raise ValueError unless ``store`` has the layer sizes of ``topology``
+    and the rest voltage of ``lif``: samples start at the store's rest
+    (``reset_for_sample``), while the engine leaks toward and resets to
+    the one in ``lif``."""
+    if topology.n_input != store.n_input or topology.n_exc != store.n_exc:
+        raise ValueError(
+            f"topology {topology.n_input}x{topology.n_exc} does not match "
+            f"store {store.n_input}x{store.n_exc}"
+        )
+    if lif.v_rest != store.v_rest:
+        raise ValueError(f"lif.v_rest {lif.v_rest} does not match store v_rest {store.v_rest}")
+
+
 def _distinct_runs(ids: np.ndarray) -> list[np.ndarray]:
     """Split ids into consecutive runs in which no id repeats."""
     if ids.size < 2 or (ids[1:] > ids[:-1]).all():
@@ -217,11 +249,7 @@ class EventEngine:
         accumulate_updates: bool = False,
         log_activations: bool = False,
     ):
-        if topology.n_input != store.n_input or topology.n_exc != store.n_exc:
-            raise ValueError(
-                f"topology {topology.n_input}x{topology.n_exc} does not match "
-                f"store {store.n_input}x{store.n_exc}"
-            )
+        check_store(store, lif, topology)
         if fifo_capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {fifo_capacity}")
         self.store = store
@@ -253,21 +281,24 @@ class EventEngine:
         self._a_post = ar.coef(stdp.alpha_post)
         self._w_min = ar.weight(stdp.w_min)
         self._w_max = ar.weight(stdp.w_max)
+        self._inh_credit = inhibition_credit(store, topology.w_inh)
 
     # -- handlers ---------------------------------------------------------
 
-    def integrate_handler(self, ids: np.ndarray) -> int:
+    def integrate_handler(self, ids: np.ndarray, *, checked: bool = False) -> int:
         """Apply one timestep's input spikes, in stream order. Ids outside
         the input layer are dropped and counted, never raised. Returns the
-        number of spikes integrated."""
+        number of spikes integrated. ``checked`` says the caller has made
+        sure that every id is in range and none repeats, as ``run`` does
+        once per stream; the per-step filter and split are then skipped."""
         ids = np.asarray(ids)
-        sel = ids[ids < self.store.n_input]
+        sel = ids if checked else ids[ids < self.store.n_input]
         n = int(sel.size)
         self.stats.packets_dropped += int(ids.size) - n
         self.stats.packets_integrated += n
         self.stats.integrate_activations += n
         if n:
-            for run in _distinct_runs(sel):
+            for run in [sel] if checked else _distinct_runs(sel):
                 self._integrate_distinct(run)
         return n
 
@@ -280,7 +311,8 @@ class EventEngine:
             if self._w_delta is not None:
                 self._w_delta[sel] -= drop
             else:
-                store.w[sel] = np.clip(rows - drop, self._w_min, self._w_max)
+                rows -= drop
+                store.w[sel] = np.clip(rows, self._w_min, self._w_max, out=rows)
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
         store.input_x[sel] = np.minimum(store.input_x[sel] + self._alpha, self._x_max)
@@ -310,26 +342,36 @@ class EventEngine:
             )
         if fired.size:
             if self.learning:
-                gain = self.arith.mul_w(store.input_x, self._a_pre)[:, None]
-                if self._w_delta is not None:
-                    self._w_delta[:, fired] += gain
-                else:
-                    cols = store.w[:, fired]
-                    cols += gain
-                    store.w[:, fired] = np.clip(cols, self._w_min, self._w_max, out=cols)
+                self._potentiate(fired, self.arith.mul_w(store.input_x, self._a_pre)[:, None])
             store.exc_v[fired] = self._rest
             store.exc_x[fired] = np.minimum(store.exc_x[fired] + self._alpha, self._x_max)
-            queue_inhibition(store, fired, self.topology.w_inh)
+            queue_inhibition(store, fired, self._inh_credit)
             self.stats.packets_out += int(fired.size)
         return fired
+
+    def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
+        """Add ``gain`` to the fired columns of the live weights, clipped, or
+        of the batched deltas. Ascending fired ids that form one range of
+        consecutive ids are updated in place through a column slice, any
+        other set through one gather and scatter."""
+        clip = self._w_delta is None
+        target = self.store.w if clip else self._w_delta
+        lo, hi = int(fired[0]), int(fired[-1]) + 1
+        one_range = hi - lo == fired.size
+        cols = target[:, lo:hi] if one_range else target[:, fired]
+        cols += gain
+        if clip:
+            np.clip(cols, self._w_min, self._w_max, out=cols)
+        if not one_range:
+            target[:, fired] = cols
 
     def apply_accumulated_updates(self) -> None:
         """Fold the batched weight deltas into the live weights (clamped)."""
         if self._w_delta is None:
             return
-        np.clip(
-            self.store.w + self._w_delta, self._w_min, self._w_max, out=self.store.w
-        )
+        w = self.store.w
+        w += self._w_delta
+        np.clip(w, self._w_min, self._w_max, out=w)
         self._w_delta[:] = 0
 
     # -- controller -------------------------------------------------------
@@ -342,6 +384,7 @@ class EventEngine:
         ids = packets["neuron_id"].astype(np.intp)
         ts = packets["timestamp"].astype(np.int64)
         _check_stream(ts, stop_ts)
+        checked = _clean_stream(ids, ts, self.store.n_input)
         self.stats = EngineStats(packets_in=int(ts.size))
         log = self.activation_log = [] if self.activation_log is not None else None
         cuts = np.flatnonzero(ts[1:] != ts[:-1]) + 1
@@ -349,7 +392,7 @@ class EventEngine:
         fired_per_step = []
         for t in range(stop_ts):
             step_ids = steps.get(t)
-            n = 0 if step_ids is None else self.integrate_handler(step_ids)
+            n = 0 if step_ids is None else self.integrate_handler(step_ids, checked=checked)
             if not n:
                 self.stats.idle_steps += 1
             self.leak_handler()

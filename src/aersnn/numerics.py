@@ -346,13 +346,9 @@ class FloatArithmetic:
             # down the rows of a C-ordered stack numpy adds row after row
             v[:] = np.add.reduce(stack, axis=0)
 
-    def add_repeated(self, acc: np.ndarray, amount: float, fewer: np.ndarray) -> None:
-        """Add ``amount`` k = ``fewer.size`` times in sequence to every element
-        of ``acc`` but k - 1 times at ``fewer``; exact while ``acc`` is zero."""
-        sums = np.cumsum(np.full(fewer.size, amount))  # sums[m - 1]: m adds
-        credit = np.full(acc.size, sums[-1])
-        credit[fewer] = sums[-2] if fewer.size > 1 else 0.0
-        acc += credit
+    def repeated_sums(self, amount: float, n: int) -> np.ndarray:
+        """``sums[m]``: ``amount`` added m times in sequence to zero, m = 0..n."""
+        return np.concatenate(([0.0], np.cumsum(np.full(n, amount))))
 
 
 class FixedArithmetic:
@@ -402,11 +398,10 @@ class FixedArithmetic:
         else:
             v[:] = prefix[-1]
 
-    def add_repeated(self, acc: np.ndarray, amount: int, fewer: np.ndarray) -> None:
-        # saturating adds of a nonnegative amount sum to min(total, top)
-        credit = np.full(acc.size, fewer.size * amount, dtype=np.int64)
-        credit[fewer] -= amount
-        np.minimum(acc + credit, self.v_max, out=acc)
+    def repeated_sums(self, amount: int, n: int) -> np.ndarray:
+        # saturating adds of a nonnegative amount sum to min(total, top), so
+        # one saturation of the final sum (``saturate_v``) is enough
+        return np.arange(n + 1, dtype=np.int64) * amount
 
 
 @dataclass(frozen=True)

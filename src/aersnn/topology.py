@@ -25,8 +25,11 @@ Checkpoint container (version 1, all integers little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -39,12 +42,14 @@ __all__ = [
     "StateStore",
     "CheckpointError",
     "build_network",
+    "inhibition_credit",
     "queue_inhibition",
     "reset_for_sample",
     "store_to_bytes",
     "store_from_bytes",
     "save_store",
     "load_store",
+    "atomic_open",
 ]
 
 CHECKPOINT_MAGIC = b"AERN"
@@ -136,20 +141,31 @@ def build_network(
     return store
 
 
-def queue_inhibition(store: StateStore, fired: Iterable[int], w_inh: float) -> None:
+def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
+    """``credit[m]``: the pending inhibition m firings queue against one
+    neuron, for m = 0..n_exc, in store units."""
+    return store.arith.repeated_sums(store.arith.voltage(w_inh), store.n_exc)
+
+
+def queue_inhibition(store: StateStore, fired: Iterable[int], credit: np.ndarray) -> None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
     except the firing one, once per firing neuron. Applied and cleared by
-    the next leak phase.
+    the next leak phase. ``credit`` is ``inhibition_credit(store, w_inh)``.
 
     Closed form of the per-neuron loop: with k distinct neurons firing,
     every other neuron is credited k times and each firing one k - 1
-    times. Fixed-point credits saturate at the format top. Float credits
-    equal the sequential loop's when ``pending`` holds no inhibition yet,
-    which is so at fire time, right after the leak cleared it.
+    times, and each gets ``credit[k]`` or ``credit[k - 1]`` added.
+    Fixed-point pending saturates at the format top. Float credits equal
+    the sequential loop's when ``pending`` holds no inhibition yet, which
+    is so at fire time, right after the leak cleared it.
     """
     fired = np.asarray(fired if isinstance(fired, np.ndarray) else list(fired), dtype=np.intp)
-    if fired.size:
-        store.arith.add_repeated(store.pending, store.arith.voltage(w_inh), fired)
+    k = fired.size
+    if k:
+        add = np.full(store.n_exc, credit[k])
+        add[fired] = credit[k - 1]
+        store.pending += add
+        store.arith.saturate_v(store.pending)
 
 
 def reset_for_sample(store: StateStore) -> None:
@@ -228,8 +244,27 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
     return store, seed, digest
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file next to ``path`` for writing. A clean exit
+    moves it onto ``path`` in one ``os.replace``; an exception removes it,
+    so ``path`` is never left half-written and an older file survives."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_store(path, store: StateStore, seed: int = 0, config_hash: bytes = b"") -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(store_to_bytes(store, seed, config_hash))
 
 

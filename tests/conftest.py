@@ -10,6 +10,11 @@ DEFAULT_LIF = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=100.0, dt=1.0)
 DEFAULT_TRACE = TraceParams(tau_x=20.0, alpha=1.0, x_max=10.0, dt=1.0)
 DEFAULT_STDP = StdpParams(alpha_pre=0.01, alpha_post=0.005, w_min=0.0, w_max=1.0)
 
+# Fired sets of a 10-neuron layer. One range of consecutive ids is
+# potentiated through a column slice; the sets with gaps go through one
+# gather and scatter, and must reach no column inside a gap.
+GAPPED_FIRED_SETS = [(0, 1, 2, 3, 6, 7, 8, 9), (3, 4, 5), (0, 1, 2, 5, 9), (0, 2, 4, 6, 8)]
+
 
 def make_engine(
     n_input=4,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aersnn.cli import main
+from aersnn.cli import _write_lines, main
 from aersnn.event_engine import packet_array, read_aer_file, write_aer_file
 from aersnn.topology import load_store
 
@@ -301,6 +301,15 @@ def _train_with_three_classes(tmp, cfg):
     return ["train", "--config", three, "--out", tmp / "x"]
 
 
+def _eval_with_other_rest(tmp, cfg):
+    out = tmp / "out"
+    assert run_cli("train", "--config", cfg, "--out", out) == 0
+    other = tmp / "rest.cfg"
+    other.write_text(cfg.read_text() + "lif.v_rest = -0.5\n")
+    return ["eval", "--config", other, "--checkpoint", out / "checkpoint.aern",
+            "--out", tmp / "ev"]
+
+
 # name: (expected exit code, stderr prefix, argv builder)
 BOUNDARY_CASES = {
     "seed-negative": (1, "error:", lambda tmp, cfg: [
@@ -312,6 +321,7 @@ BOUNDARY_CASES = {
     "labels-without-response": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
         tmp, cfg, _without_response)),
     "n-classes-below-labels": (1, "error:", _train_with_three_classes),
+    "checkpoint-v-rest-mismatch": (1, "error:", _eval_with_other_rest),
 }
 
 
@@ -323,3 +333,20 @@ def test_bad_input_exits_with_one_line(workspace, capsys, name):
     assert run_cli(*argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_interrupted_artifact_write_leaves_old_file(tmp_path):
+    target = tmp_path / "metrics.jsonl"
+
+    def lines():
+        yield "first\n"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        _write_lines(target, lines())
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        _write_lines(target, lines())
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aersnn.event_engine import (
+    EventEngine,
     FifoOverflowError,
     ProtocolError,
     PACKET_DTYPE,
@@ -12,8 +13,25 @@ from aersnn.event_engine import (
     write_aer_text,
 )
 from aersnn.numerics import NumericSpec
+from aersnn.topology import TopologyParams, build_network
 
-from conftest import grid_to_packets, make_engine
+from conftest import GAPPED_FIRED_SETS, grid_to_packets, make_engine
+
+
+class TestConstruction:
+    def test_store_of_other_size_rejected(self):
+        eng = make_engine(n_input=4, n_exc=3)
+        store = build_network(TopologyParams(n_input=4, n_exc=2, w_inh=0.5), eng.stdp, seed=7)
+        with pytest.raises(ValueError, match="topology"):
+            EventEngine(store, eng.lif, eng.trace, eng.stdp, eng.topology)
+
+    def test_store_with_other_rest_rejected(self):
+        # samples would start at the store's rest while the engine leaks
+        # toward and resets to the other one
+        eng = make_engine()
+        store = build_network(eng.topology, eng.stdp, seed=7, v_rest=-0.5)
+        with pytest.raises(ValueError, match="v_rest"):
+            EventEngine(store, eng.lif, eng.trace, eng.stdp, eng.topology)
 
 
 class TestPacketCodec:
@@ -276,6 +294,18 @@ class TestRun:
             assert stats.leak_activations == 80
             assert stats.fire_activations == 80
 
+    def test_id_repeated_within_a_step_splits_as_in_the_handler(self):
+        # run checks the stream once; a step that repeats an id must still
+        # integrate its row as depressed by the earlier occurrence
+        engines = [make_engine(n_input=2, n_exc=1, weights=[[0.5], [0.25]]) for _ in range(2)]
+        for eng in engines:
+            eng.store.exc_x[:] = 2.0
+        engines[0].run(packet_array([1, 0, 1], [0, 0, 0]), stop_ts=1)
+        engines[1].integrate_handler(np.array([1, 0, 1]))
+        engines[1].leak_handler()
+        engines[1].fire_handler(0)
+        assert engines[0].store.state_equal(engines[1].store)
+
     def test_run_resets_stats_between_calls(self):
         eng = make_engine()
         eng.run(packet_array([0], [0]), stop_ts=2)
@@ -293,6 +323,20 @@ class TestBatchedUpdates:
         assert eng.store.w[0, 0] == 0.5
         eng.apply_accumulated_updates()
         assert eng.store.w[0, 0] == pytest.approx(0.49)
+
+    @pytest.mark.parametrize("fired", GAPPED_FIRED_SETS)
+    def test_gapped_fire_accumulates_column_by_column(self, fired):
+        eng = make_engine(n_input=4, n_exc=10, accumulate_updates=True)
+        before = eng.store.w.copy()
+        eng.store.input_x[:] = [0.5, 1.0, 1.5, 2.0]
+        gain = eng.store.input_x * eng.stdp.alpha_pre
+        for times in (1, 2):
+            eng.store.exc_v[list(fired)] = eng.lif.v_thresh
+            assert eng.fire_handler(0).tolist() == list(fired)
+            for j in range(10):
+                expected = times * gain if j in fired else np.zeros(4)
+                assert eng._w_delta[:, j].tolist() == expected.tolist(), f"column {j}"
+        assert eng.store.w.tobytes() == before.tobytes()
 
     def test_flush_is_noop_without_accumulation(self):
         eng = make_engine()

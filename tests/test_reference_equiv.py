@@ -11,7 +11,7 @@ from aersnn.plasticity import StdpParams
 from aersnn.reference_sim import dense_simulate
 from aersnn.topology import TopologyParams, build_network
 
-from conftest import grid_to_packets, make_engine
+from conftest import GAPPED_FIRED_SETS, grid_to_packets, make_engine
 
 
 def random_case(rng):
@@ -61,6 +61,17 @@ def run_both(lif, trace, stdp, topology, grid, learning, seed):
     ref_grid = dense_simulate(oracle_store, lif, trace, stdp, topology, grid,
                               learning=learning)
     return engine_store, out_grid, oracle_store, ref_grid
+
+
+def run_both_on(engine_store, oracle_store, lif, trace, stdp, topology, grid):
+    """Engine and oracle from two given stores; returns the engine's output
+    packets and the arguments of ``assert_bit_identical``."""
+    res = EventEngine(engine_store, lif, trace, stdp, topology).run(
+        grid_to_packets(grid), stop_ts=grid.shape[0])
+    out_grid = np.zeros((grid.shape[0], topology.n_exc), dtype=bool)
+    out_grid[res.outputs.timestamp, res.outputs.neuron_id] = True
+    ref_grid = dense_simulate(oracle_store, lif, trace, stdp, topology, grid)
+    return res.outputs, (engine_store, out_grid, oracle_store, ref_grid)
 
 
 def assert_bit_identical(engine_store, out_grid, oracle_store, ref_grid, label=""):
@@ -134,6 +145,47 @@ class TestEngineMatchesDense:
             *run_both(lif, trace, stdp, topology, grid, True, seed=5),
             label="dense grid",
         )
+
+    @pytest.mark.parametrize("fired", GAPPED_FIRED_SETS)
+    def test_gapped_fired_set(self, fired):
+        # step 0 fires exactly ``fired``: potentiation must reach those
+        # columns and no column in the gaps between them
+        lif = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=20.0, dt=1.0)
+        trace = TraceParams(tau_x=10.0, alpha=0.5, x_max=2.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.2, alpha_post=0.05)
+        topology = TopologyParams(n_input=6, n_exc=10, w_inh=0.3)
+        grid = np.random.default_rng(sum(fired)).random((30, 6)) < 0.3
+        grid[0] = False
+        stores = [build_network(topology, stdp, seed=3) for _ in range(2)]
+        for store in stores:
+            store.w[:, ::3] = 0.99  # potentiation clips these at w_max
+            store.exc_v[list(fired)] = 3.0
+            store.input_x[:] = np.linspace(0.1, 1.5, 6)
+        outputs, both = run_both_on(*stores, lif, trace, stdp, topology, grid)
+        assert outputs.neuron_id[outputs.timestamp == 0].tolist() == list(fired)
+        assert_bit_identical(*both, label=str(fired))
+
+    def test_weights_outside_the_bounds_clip_on_both_sides(self):
+        # a checkpoint trained under other bounds: depression pulls weights
+        # above w_max down to it and potentiation lifts those below w_min.
+        # Only neuron 1 fires, at step 0 before any input, so potentiation
+        # meets its column unclipped; the other columns see depression alone.
+        lif = LifParams(v_rest=0.0, v_thresh=50.0, tau_v=10.0, dt=1.0)
+        trace = TraceParams(tau_x=5.0, alpha=1.0, x_max=3.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.1, alpha_post=0.1)
+        topology = TopologyParams(n_input=6, n_exc=4, w_inh=0.4)
+        grid = np.ones((3, 6), dtype=bool)
+        grid[0] = False
+        stores = [build_network(topology, stdp, seed=4) for _ in range(2)]
+        for store in stores:
+            store.w[::2] = 1.4
+            store.w[1::2] = -0.3
+            store.exc_x[:] = 1.0
+            store.exc_v[1] = 100.0
+        outputs, both = run_both_on(*stores, lif, trace, stdp, topology, grid)
+        assert outputs.neuron_id.tolist() == [1]
+        assert_bit_identical(*both, label="out of bounds")
+        assert 0.0 <= stores[0].w.min() and stores[0].w.max() <= 1.0
 
     def test_paper_density_fuzz(self):
         # 784 x 100 (and 784 x 1) with 8 to 100 input spikes per step: long

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from aersnn.plasticity import StdpParams
 from aersnn.topology import (
     CheckpointError,
     TopologyParams,
+    atomic_open,
     build_network,
+    inhibition_credit,
     load_store,
     queue_inhibition,
     reset_for_sample,
@@ -65,29 +69,29 @@ class TestBuildNetwork:
 class TestQueueInhibition:
     def test_no_fires_no_change(self):
         store = small_store()
-        queue_inhibition(store, set(), 0.5)
+        queue_inhibition(store, set(), inhibition_credit(store, 0.5))
         assert np.all(store.pending == 0.0)
 
     def test_all_but_self(self):
         store = small_store()
-        queue_inhibition(store, {1}, 0.5)
+        queue_inhibition(store, {1}, inhibition_credit(store, 0.5))
         assert store.pending.tolist() == [0.5, 0.0, 0.5]
 
     def test_superposition_of_two_fires(self):
         store = small_store()
-        queue_inhibition(store, {0, 1}, 0.5)
+        queue_inhibition(store, {0, 1}, inhibition_credit(store, 0.5))
         assert store.pending.tolist() == [0.5, 0.5, 1.0]
 
     def test_self_exclusion(self):
         store = small_store()
         before = store.pending[1]
-        queue_inhibition(store, {1}, 0.5)
+        queue_inhibition(store, {1}, inhibition_credit(store, 0.5))
         assert store.pending[1] == before
 
     def test_fixed_mode_saturates_at_format_top(self):
         store = small_store(numeric=NumericSpec(mode="fixed"))
         for _ in range(10):
-            queue_inhibition(store, {0}, 100.0)
+            queue_inhibition(store, {0}, inhibition_credit(store, 100.0))
         top = store.numeric.v_format.raw_max
         assert np.all(store.pending[1:] == top)
 
@@ -133,6 +137,22 @@ class TestCheckpoint:
         loaded, seed, _ = load_store(path)
         assert seed == 7
         assert loaded.state_equal(store)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "net.aern"
+        save_store(path, small_store(), seed=7)
+        before = path.read_bytes()
+        with pytest.raises(struct.error):
+            save_store(path, small_store(), seed=-1)  # the header has no room for it
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.aern"]
+
+    def test_write_raising_partway_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_open(tmp_path / "net.aern") as fh:
+                fh.write(b"AERN")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self):
         blob = bytearray(store_to_bytes(small_store()))
