@@ -3,15 +3,7 @@ processor: AER packet I/O, iterative fixed-point leak arithmetic, and
 trace-based STDP in an excitatory-inhibitory competitive layer."""
 
 from .config import ConfigError, RunConfig, config_hash, derive_seed, parse_config
-from .dynamics import (
-    LifParams,
-    NeuronState,
-    TraceParams,
-    bump_trace,
-    fire_check,
-    integrate,
-    leak_state,
-)
+from .dynamics import LifParams, TraceParams
 from .encoders import (
     DatasetError,
     EncoderParams,
@@ -46,20 +38,12 @@ from .numerics import (
     Fixed,
     NumericSpec,
     QFormat,
-    exp_decay_reference,
     leak_decay,
     leak_toward,
     to_fixed,
     to_real,
 )
-from .plasticity import (
-    PairStdpParams,
-    SpikeTrain,
-    StdpParams,
-    ltd_on_pre,
-    ltp_on_post,
-    pair_stdp_delta,
-)
+from .plasticity import StdpParams
 from .reference_sim import dense_simulate
 from .topology import (
     CheckpointError,

@@ -196,8 +196,8 @@ def cmd_train(args) -> int:
         "command,config_hash,seed,accuracy\n",
         f"train,{cfg_hash},{cfg.seed},{result.metrics.accuracy!r}\n",
     ])
-    if cfg.log_activations and result.engine.activation_log is not None:
-        write_activation_log(out / "activations.csv", result.engine.activation_log)
+    if cfg.log_activations:
+        write_activation_log(out / "activations.csv", result.engine.steps, cfg.n_exc)
     print(f"train: accuracy {result.metrics.accuracy:.4f} "
           f"({result.train_stats['samples']} samples, config {cfg_hash[:12]}, "
           f"seed {cfg.seed})")
@@ -224,8 +224,8 @@ def _replay_trace(args, cfg: RunConfig, cfg_hash: str) -> int:
               "trace": str(cfg.aer_trace)}
     record.update(result.stats.as_dict())
     _write_lines(out / "metrics.jsonl", [_json_line(record)])
-    if cfg.log_activations and engine.activation_log is not None:
-        write_activation_log(out / "activations.csv", engine.activation_log)
+    if cfg.log_activations:
+        write_activation_log(out / "activations.csv", result.steps, cfg.n_exc)
     print(f"replay: {result.stats.packets_in} packets in, "
           f"{result.stats.packets_out} out over {result.stats.timesteps} steps")
     return 0
@@ -242,7 +242,8 @@ def cmd_eval(args) -> int:
     labels_path = args.checkpoint.parent / LABELS_NAME
     with open(labels_path, "r", encoding="utf-8") as fh:
         try:
-            labels = NeuronLabels.from_dict(json.loads(fh.read()))
+            labels = NeuronLabels.from_dict(json.loads(fh.read()),
+                                            cfg.resolved_n_classes())
         except (ValueError, KeyError, TypeError) as exc:
             raise DatasetError(f"{labels_path}: malformed labels: {exc!r}") from exc
     if labels.label.shape[0] != cfg.n_exc:

@@ -1,4 +1,4 @@
-"""Single-neuron LIF and spike-trace state transitions.
+"""LIF neuron and spike-trace parameters.
 
 A neuron carries a membrane voltage ``v`` and an activity trace ``x``. Per
 timestep the cycle is: integrate incoming weights into ``v``, leak both
@@ -6,25 +6,17 @@ quantities one iterative step, then compare ``v`` against the threshold.
 A crossing resets ``v`` hard to the rest level (no refractory period) and
 bumps the trace by ``alpha`` up to the ``x_max`` ceiling.
 
-These are the scalar, float-mode transitions. The event engine applies the
-same update rules vectorized over whole neuron populations.
+The event engine applies these update rules to whole neuron populations
+(see ``event_engine``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import DecayParams, leak_decay, leak_toward
+from .numerics import DecayParams
 
-__all__ = [
-    "LifParams",
-    "TraceParams",
-    "NeuronState",
-    "integrate",
-    "leak_state",
-    "fire_check",
-    "bump_trace",
-]
+__all__ = ["LifParams", "TraceParams"]
 
 
 @dataclass(frozen=True)
@@ -42,10 +34,6 @@ class LifParams:
         # Validates tau_v > 0 and dt/tau_v < 1.
         DecayParams(tau=self.tau_v, dt=self.dt)
 
-    @property
-    def decay(self) -> DecayParams:
-        return DecayParams(tau=self.tau_v, dt=self.dt)
-
 
 @dataclass(frozen=True)
 class TraceParams:
@@ -62,43 +50,3 @@ class TraceParams:
                 f"x_max ({self.x_max}) must be at least alpha ({self.alpha})"
             )
         DecayParams(tau=self.tau_x, dt=self.dt)
-
-    @property
-    def decay(self) -> DecayParams:
-        return DecayParams(tau=self.tau_x, dt=self.dt)
-
-
-@dataclass(frozen=True)
-class NeuronState:
-    v: float
-    x: float
-
-
-def integrate(s: NeuronState, weight: float) -> NeuronState:
-    """Add one incoming activation to the voltage. No threshold clamp here;
-    the fire decision is a separate phase."""
-    return NeuronState(v=s.v + weight, x=s.x)
-
-
-def leak_state(s: NeuronState, lp: LifParams, tp: TraceParams) -> NeuronState:
-    """One iterative leak step: voltage decays toward rest, trace toward zero."""
-    return NeuronState(
-        v=leak_toward(s.v, lp.v_rest, lp.decay),
-        x=leak_decay(s.x, tp.decay),
-    )
-
-
-def bump_trace(x: float, tp: TraceParams) -> float:
-    """Per-spike trace increment, clipped at the ceiling."""
-    return min(x + tp.alpha, tp.x_max)
-
-
-def fire_check(
-    s: NeuronState, lp: LifParams, tp: TraceParams
-) -> tuple[NeuronState, bool]:
-    """Threshold comparison (inclusive: ``v >= v_thresh`` fires). On a spike
-    the voltage drops to rest and the trace is bumped; otherwise the state
-    passes through unchanged."""
-    if s.v >= lp.v_thresh:
-        return NeuronState(v=lp.v_rest, x=bump_trace(s.x, tp)), True
-    return s, False

@@ -66,12 +66,21 @@ class NeuronLabels:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NeuronLabels":
-        return cls(
-            label=np.array(data["label"], dtype=np.int64),
-            response=np.array(data["response"], dtype=np.float64),
-            silent=np.array(data["silent"], dtype=bool),
-        )
+    def from_dict(cls, data: dict, n_classes: int) -> "NeuronLabels":
+        """Raise ValueError unless ``response`` holds one row of
+        ``n_classes`` mean counts per neuron, ``label`` one class id in
+        ``[0, n_classes)`` per neuron and ``silent`` one flag per neuron."""
+        label = np.array(data["label"])
+        response = np.array(data["response"], dtype=np.float64)
+        silent = np.array(data["silent"], dtype=bool)
+        rows = response.shape[:1]
+        if response.shape[1:] != (n_classes,) or label.shape != rows or silent.shape != rows:
+            raise ValueError(f"label {label.shape}, response {response.shape} and silent "
+                             f"{silent.shape} do not hold one row of {n_classes} classes "
+                             "per neuron")
+        if label.dtype.kind not in "iu" or ((label < 0) | (label >= n_classes)).any():
+            raise ValueError(f"labels must be class ids in [0, {n_classes})")
+        return cls(label=label.astype(np.int64), response=response, silent=silent)
 
 
 @dataclass
@@ -123,7 +132,6 @@ def build_engine(cfg: RunConfig, store: StateStore | None = None) -> EventEngine
         v_floor=cfg.resolved_v_floor(),
         fifo_capacity=cfg.fifo_capacity,
         accumulate_updates=cfg.batch_size > 1,
-        log_activations=cfg.log_activations,
     )
 
 

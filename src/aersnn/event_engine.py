@@ -23,10 +23,18 @@ The engine closes timesteps ``0 .. stop_ts - 1`` in order. Per step:
 A step without packets still leaks and fires, so gaps decay state exactly
 as if the quiet steps had been driven. Input timestamps must be
 non-decreasing and below ``stop_ts``; the whole stream is checked before
-any state changes, and a violation raises ``ProtocolError``. Ids outside
-the input layer are dropped and counted. The output buffer is drained
-after every step and holds ``fifo_capacity`` packets: more neurons than
-that firing in one step raises ``FifoOverflowError``.
+any state changes, and a violation raises ``ProtocolError``. The output
+buffer is drained after every step and holds ``fifo_capacity`` packets:
+more neurons than that firing in one step raises ``FifoOverflowError``.
+
+``run`` owns the stream, as the controller does in hardware: once per
+stream it drops the ids outside the input layer, and splits the ids of a
+step that does not ascend into consecutive runs of distinct ids, since an
+id repeated within a step must integrate its row as depressed by its
+earlier occurrence. The handlers only integrate, leak and fire. ``run``
+also counts, into one per-step record (``STEP_DTYPE``), the packets that
+arrived, the packets integrated and the neurons fired; ``EngineStats``
+holds its column sums.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -42,11 +50,8 @@ numeric modes, because:
 * fixed-point adds saturate. When no prefix of the cumulative sum leaves
   the voltage format, no add saturated and the last prefix is the result;
   otherwise that step falls back to sequential saturating adds;
-* an id repeated within a step must integrate its row as depressed by its
-  earlier occurrence, so the step is split into consecutive runs of
-  distinct ids, each integrated as above. ``run`` checks once per stream
-  that every id is in range and that the ids of each step ascend; if so,
-  no step is filtered or split;
+* a run of distinct ids reads each row once, so a repeated id, which
+  ``run`` puts in the next run, sees its depressed row;
 * the input traces do not change within fire, so every fired column gets
   the same potentiation. The fired ids are ascending; when they form one
   range of consecutive ids (as when every neuron fires), the columns are
@@ -58,25 +63,32 @@ numeric modes, because:
   per engine for k = 0..n_exc and handed to ``queue_inhibition``.
 
 No handler tests the numeric mode: the store's arithmetic object (see
-``numerics``) does each float- or fixed-specific step, and with it the
-handlers match the scalar dynamics and plasticity transitions in both.
+``numerics``) does each float- or fixed-specific step, so one set of
+handlers serves both modes and matches the dense float oracle
+(``reference_sim``) bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .dynamics import LifParams, TraceParams
 from .numerics import DecayParams
 from .plasticity import StdpParams
-from .topology import StateStore, TopologyParams, inhibition_credit, queue_inhibition
+from .topology import (
+    StateStore,
+    TopologyParams,
+    atomic_open,
+    inhibition_credit,
+    queue_inhibition,
+)
 
 __all__ = [
     "PACKET_DTYPE",
+    "STEP_DTYPE",
     "EngineStats",
     "EventEngine",
     "RunResult",
@@ -88,10 +100,14 @@ __all__ = [
     "write_aer_file",
     "read_aer_file",
     "write_aer_text",
+    "write_activation_log",
 ]
 
 PACKET_DTYPE = np.dtype([("neuron_id", "<u2"), ("timestamp", "<u4")])
 PACKET_BYTES = PACKET_DTYPE.itemsize  # 6
+# one row per timestep of a run: packets that arrived, packets integrated
+# (the rest were dropped) and neurons fired
+STEP_DTYPE = np.dtype([("packets_in", "<i8"), ("integrated", "<i8"), ("fired", "<i8")])
 
 
 class EngineError(Exception):
@@ -161,6 +177,16 @@ class EngineStats:
     timesteps: int = 0
     idle_steps: int = 0
 
+    @classmethod
+    def from_steps(cls, steps: np.ndarray) -> "EngineStats":
+        """The column sums of a per-step record of ``STEP_DTYPE``."""
+        n_in, n_int = int(steps["packets_in"].sum()), int(steps["integrated"].sum())
+        n = len(steps)
+        return cls(packets_in=n_in, packets_integrated=n_int, packets_dropped=n_in - n_int,
+                   packets_out=int(steps["fired"].sum()), integrate_activations=n_int,
+                   leak_activations=n, fire_activations=n, timesteps=n,
+                   idle_steps=int((steps["integrated"] == 0).sum()))
+
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -169,6 +195,7 @@ class EngineStats:
 class RunResult:
     outputs: np.recarray
     stats: EngineStats
+    steps: np.ndarray
 
 
 def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
@@ -186,14 +213,6 @@ def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
         raise ProtocolError(f"packet timestamp {ts[i_past]} is past stop_ts {stop_ts}")
 
 
-def _clean_stream(ids: np.ndarray, ts: np.ndarray, n_input: int) -> bool:
-    """True when every id is inside the input layer and the ids of every
-    timestep ascend, so none repeats (``ts`` is non-decreasing)."""
-    if ids.size and ids.max() >= n_input:
-        return False
-    return bool(((ids[1:] > ids[:-1]) | (ts[1:] != ts[:-1])).all())
-
-
 def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> None:
     """Raise ValueError unless ``store`` has the layer sizes of ``topology``
     and the rest voltage of ``lif``: samples start at the store's rest
@@ -208,19 +227,26 @@ def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> 
         raise ValueError(f"lif.v_rest {lif.v_rest} does not match store v_rest {store.v_rest}")
 
 
-def _distinct_runs(ids: np.ndarray) -> list[np.ndarray]:
-    """Split ids into consecutive runs in which no id repeats."""
-    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
-        return [ids]
-    runs, seen, start = [], set(), 0
-    for k, i in enumerate(ids.tolist()):
-        if i in seen:
-            runs.append(ids[start:k])
-            seen.clear()
-            start = k
-        seen.add(i)
-    runs.append(ids[start:])
-    return runs
+def _step_runs(ids: np.ndarray, ts: np.ndarray) -> dict[int, list[np.ndarray]]:
+    """The ids of each timestep that has any, as consecutive runs in which
+    no id repeats (``ts`` is non-decreasing). A step whose ids ascend is
+    one run; any other is cut before each id already seen in its run."""
+    if not ts.size:
+        return {}
+    cuts = np.flatnonzero(ts[1:] != ts[:-1]) + 1
+    steps = {t: [step] for t, step in zip(ts[np.r_[0, cuts]].tolist(), np.split(ids, cuts))}
+    unsorted = (ids[1:] <= ids[:-1]) & (ts[1:] == ts[:-1])
+    for t in set(ts[1:][unsorted].tolist()):
+        step = steps[t][0]
+        runs, seen, start = [], set(), 0
+        for k, i in enumerate(step.tolist()):
+            if i in seen:
+                runs.append(step[start:k])
+                seen.clear()
+                start = k
+            seen.add(i)
+        steps[t] = runs + [step[start:]]
+    return steps
 
 
 class EventEngine:
@@ -247,7 +273,6 @@ class EventEngine:
         v_floor: float | None = None,
         fifo_capacity: int = 4096,
         accumulate_updates: bool = False,
-        log_activations: bool = False,
     ):
         check_store(store, lif, topology)
         if fifo_capacity < 1:
@@ -261,10 +286,9 @@ class EventEngine:
         self.v_floor = -lif.v_thresh if v_floor is None else float(v_floor)
         self.fifo_capacity = fifo_capacity
         self.accumulate_updates = accumulate_updates
+        # the per-step record of the last run, and its column sums
+        self.steps = np.zeros(0, dtype=STEP_DTYPE)
         self.stats = EngineStats()
-        self.activation_log: list[tuple[int, str, int]] | None = (
-            [] if log_activations else None
-        )
         self._w_delta = None
         if accumulate_updates:
             self._w_delta = np.zeros_like(store.w)
@@ -285,41 +309,29 @@ class EventEngine:
 
     # -- handlers ---------------------------------------------------------
 
-    def integrate_handler(self, ids: np.ndarray, *, checked: bool = False) -> int:
-        """Apply one timestep's input spikes, in stream order. Ids outside
-        the input layer are dropped and counted, never raised. Returns the
-        number of spikes integrated. ``checked`` says the caller has made
-        sure that every id is in range and none repeats, as ``run`` does
-        once per stream; the per-step filter and split are then skipped."""
-        ids = np.asarray(ids)
-        sel = ids if checked else ids[ids < self.store.n_input]
-        n = int(sel.size)
-        self.stats.packets_dropped += int(ids.size) - n
-        self.stats.packets_integrated += n
-        self.stats.integrate_activations += n
-        if n:
-            for run in [sel] if checked else _distinct_runs(sel):
-                self._integrate_distinct(run)
-        return n
-
-    def _integrate_distinct(self, sel: np.ndarray) -> None:
+    def integrate_handler(self, ids: np.ndarray) -> int:
+        """Apply input spikes in stream order: add each id's weight row to
+        the excitatory voltages, depress the rows by the post-synaptic
+        traces, bump the input traces. The ids must be inside the input
+        layer and distinct; ``run`` drops and splits a stream so. Returns
+        the number of spikes integrated."""
         store = self.store
-        rows = store.w[sel]
+        rows = store.w[ids]
         self.arith.add_rows(store.exc_v, rows)
         if self.learning:
             drop = self.arith.mul_w(store.exc_x, self._a_post)
             if self._w_delta is not None:
-                self._w_delta[sel] -= drop
+                self._w_delta[ids] -= drop
             else:
                 rows -= drop
-                store.w[sel] = np.clip(rows, self._w_min, self._w_max, out=rows)
+                store.w[ids] = np.clip(rows, self._w_min, self._w_max, out=rows)
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
-        store.input_x[sel] = np.minimum(store.input_x[sel] + self._alpha, self._x_max)
+        store.input_x[ids] = np.minimum(store.input_x[ids] + self._alpha, self._x_max)
+        return len(ids)
 
     def leak_handler(self) -> None:
         store, ar = self.store, self.arith
-        self.stats.leak_activations += 1
         v = store.exc_v
         v -= ar.mul_v(v - self._rest, self._decay_v)
         v -= store.pending
@@ -333,7 +345,6 @@ class EventEngine:
         """Fire every neuron at or above threshold in step ``ts``; returns
         their ids in ascending order."""
         store = self.store
-        self.stats.fire_activations += 1
         fired = np.flatnonzero(store.exc_v >= self._thresh)
         if fired.size > self.fifo_capacity:
             raise FifoOverflowError(
@@ -346,7 +357,6 @@ class EventEngine:
             store.exc_v[fired] = self._rest
             store.exc_x[fired] = np.minimum(store.exc_x[fired] + self._alpha, self._x_max)
             queue_inhibition(store, fired, self._inh_credit)
-            self.stats.packets_out += int(fired.size)
         return fired
 
     def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
@@ -384,32 +394,30 @@ class EventEngine:
         ids = packets["neuron_id"].astype(np.intp)
         ts = packets["timestamp"].astype(np.int64)
         _check_stream(ts, stop_ts)
-        checked = _clean_stream(ids, ts, self.store.n_input)
-        self.stats = EngineStats(packets_in=int(ts.size))
-        log = self.activation_log = [] if self.activation_log is not None else None
-        cuts = np.flatnonzero(ts[1:] != ts[:-1]) + 1
-        steps = dict(zip(ts[np.r_[0, cuts]].tolist(), np.split(ids, cuts))) if ts.size else {}
+        steps = np.zeros(stop_ts, dtype=STEP_DTYPE)
+        steps["packets_in"] = np.bincount(ts, minlength=stop_ts)
+        keep = ids < self.store.n_input
+        ids, ts = ids[keep], ts[keep]
+        steps["integrated"] = np.bincount(ts, minlength=stop_ts)
+        runs = _step_runs(ids, ts)
         fired_per_step = []
         for t in range(stop_ts):
-            step_ids = steps.get(t)
-            n = 0 if step_ids is None else self.integrate_handler(step_ids, checked=checked)
-            if not n:
-                self.stats.idle_steps += 1
+            for run in runs.get(t, ()):
+                self.integrate_handler(run)
             self.leak_handler()
-            fired = self.fire_handler(t)
-            self.stats.timesteps += 1
-            fired_per_step.append(fired)
-            if log is not None:
-                log += [(t, "integrate", n), (t, "leak", self.store.n_exc),
-                        (t, "fire", int(fired.size))]
-        counts = np.array([f.size for f in fired_per_step], dtype=np.intp)
+            fired_per_step.append(self.fire_handler(t))
+        steps["fired"] = [f.size for f in fired_per_step]
+        self.steps, self.stats = steps, EngineStats.from_steps(steps)
         outputs = packet_array(np.concatenate([np.empty(0, np.intp)] + fired_per_step),
-                               np.repeat(np.arange(counts.size), counts))
-        return RunResult(outputs=outputs, stats=self.stats)
+                               np.repeat(np.arange(stop_ts), steps["fired"]))
+        return RunResult(outputs=outputs, stats=self.stats, steps=steps)
 
 
-def write_activation_log(path, entries: Iterable[tuple[int, str, int]]) -> None:
-    """Dump an activation log as ``ts,phase,count`` lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ts, phase, count in entries:
-            fh.write(f"{ts},{phase},{count}\n")
+def write_activation_log(path, steps: np.ndarray, n_exc: int) -> None:
+    """Write a run's per-step record as ``ts,phase,count`` lines: per step
+    the spikes integrated, the ``n_exc`` neurons leaked and the neurons
+    fired."""
+    counts = zip(steps["integrated"].tolist(), steps["fired"].tolist())
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, (n, fired) in enumerate(counts):
+            fh.write(f"{t},integrate,{n}\n{t},leak,{n_exc}\n{t},fire,{fired}\n")

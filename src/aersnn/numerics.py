@@ -54,7 +54,6 @@ __all__ = [
     "fixed_convert",
     "leak_decay",
     "leak_toward",
-    "exp_decay_reference",
     "quantize_array",
     "convert_raw_array",
     "trunc_shift_raw",
@@ -271,16 +270,6 @@ def leak_toward(v, rest, p: DecayParams):
         delta = _trunc_shift_int(diff * p.decay_raw(), COEF_FORMAT.frac_bits)
         return Fixed(_clamp_int(v.raw - delta, v.fmt), v.fmt)
     return v - (v - rest) * p.decay
-
-
-def exp_decay_reference(x0: float, t: float, tau: float) -> float:
-    """Continuous-decay ground truth ``x0 * exp(-t / tau)``, used only to
-    bound the iterative kernels in tests."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return x0 * math.exp(-t / tau)
 
 
 # Vectorized raw-mantissa helpers (int64 arrays). These share the scalar

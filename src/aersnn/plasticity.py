@@ -7,27 +7,13 @@ local pre- or post-synaptic activity trace, so no spike history is stored.
       w' = clamp(w - alpha_post * x_post)
 * potentiation (LTP), applied when the post-neuron spikes:
       w' = clamp(w + alpha_pre * x_pre)
-
-``pair_stdp_delta`` is the classical pair-based rule, summing an
-exponential kernel over every (pre, post) spike-time pair. It exists only
-as a test oracle: with exponentially decayed traces the trace rule
-reproduces it exactly for a single pair, which is the correctness anchor
-for the online learning path. It is never called by the engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = [
-    "StdpParams",
-    "PairStdpParams",
-    "SpikeTrain",
-    "ltd_on_pre",
-    "ltp_on_post",
-    "pair_stdp_delta",
-]
+__all__ = ["StdpParams"]
 
 
 @dataclass(frozen=True)
@@ -46,61 +32,3 @@ class StdpParams:
             raise ValueError(
                 f"w_min ({self.w_min}) must be below w_max ({self.w_max})"
             )
-
-
-@dataclass(frozen=True)
-class PairStdpParams:
-    a_pre: float
-    a_post: float
-    tau_pre: float
-    tau_post: float
-
-    def __post_init__(self) -> None:
-        for name in ("a_pre", "a_post", "tau_pre", "tau_post"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class SpikeTrain:
-    """Strictly increasing spike timestamps of one neuron."""
-
-    times: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.times, self.times[1:]):
-            if b <= a:
-                raise ValueError(f"spike times must strictly increase, got {a} then {b}")
-
-
-def _clamp(w: float, p: StdpParams) -> float:
-    return min(max(w, p.w_min), p.w_max)
-
-
-def ltd_on_pre(w: float, x_post: float, p: StdpParams) -> float:
-    """Depress a weight by the post-synaptic trace, clamped to the bounds."""
-    return _clamp(w - p.alpha_post * x_post, p)
-
-
-def ltp_on_post(w: float, x_pre: float, p: StdpParams) -> float:
-    """Potentiate a weight by the pre-synaptic trace, clamped to the bounds."""
-    return _clamp(w + p.alpha_pre * x_pre, p)
-
-
-def pair_stdp_delta(pre: SpikeTrain, post: SpikeTrain, p: PairStdpParams) -> float:
-    """Pair-based weight change summed over all (t_pre, t_post) pairs.
-
-    A pair with the post spike later (dt > 0) potentiates by
-    ``a_pre * exp(-dt / tau_pre)``; a pair with the post spike earlier
-    depresses by ``a_post * exp(dt / tau_post)``. Coincident pairs
-    (dt == 0) contribute nothing.
-    """
-    total = 0.0
-    for t_pre in pre.times:
-        for t_post in post.times:
-            dt = t_post - t_pre
-            if dt > 0:
-                total += p.a_pre * math.exp(-dt / p.tau_pre)
-            elif dt < 0:
-                total -= p.a_post * math.exp(dt / p.tau_post)
-    return total

@@ -9,6 +9,10 @@ from aersnn.topology import TopologyParams, build_network
 DEFAULT_LIF = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=100.0, dt=1.0)
 DEFAULT_TRACE = TraceParams(tau_x=20.0, alpha=1.0, x_max=10.0, dt=1.0)
 DEFAULT_STDP = StdpParams(alpha_pre=0.01, alpha_post=0.005, w_min=0.0, w_max=1.0)
+# leak rates of 1e-300: one leak step changes no voltage or trace of order 1,
+# so a whole step run by the engine shows what integrate and fire did
+STILL_LIF = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=1e300, dt=1.0)
+STILL_TRACE = TraceParams(tau_x=1e300, alpha=1.0, x_max=10.0, dt=1.0)
 
 # Fired sets of a 10-neuron layer. One range of consecutive ids is
 # potentiated through a column slice; the sets with gaps go through one

@@ -295,6 +295,14 @@ def _without_response(text):
     return json.dumps(doc)
 
 
+def _edit_labels(field, edit):
+    def rewrite(text):
+        doc = json.loads(text)
+        doc[field] = edit(doc[field])
+        return json.dumps(doc)
+    return rewrite
+
+
 def _train_with_three_classes(tmp, cfg):
     three = tmp / "three.cfg"
     three.write_text(cfg.read_text() + "data.n_classes = 3\n")
@@ -320,6 +328,12 @@ BOUNDARY_CASES = {
         tmp, cfg, lambda text: text[:-5])),
     "labels-without-response": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
         tmp, cfg, _without_response)),
+    "labels-response-two-columns": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
+        tmp, cfg, _edit_labels("response", lambda rows: [row[:2] for row in rows]))),
+    "labels-response-one-dimensional": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
+        tmp, cfg, _edit_labels("response", lambda rows: [row[0] for row in rows]))),
+    "labels-minus-one": (2, "io error:", lambda tmp, cfg: _eval_with_labels(
+        tmp, cfg, _edit_labels("label", lambda label: [-1] * len(label)))),
     "n-classes-below-labels": (1, "error:", _train_with_three_classes),
     "checkpoint-v-rest-mismatch": (1, "error:", _eval_with_other_rest),
 }

@@ -73,7 +73,8 @@ CASES = {
                                  messy_stream(8, 70, 10)),
 }
 
-# digests of (outputs, store, weight deltas or None, stats and activation log)
+# digests of (outputs, store, weight deltas or None, stats and activation log);
+# the stats and the log are rebuilt from the run's per-step record
 PINS = {
     'float-repeats-accumulate': (
         '2d5b355378fe1e5273a46cbc58ff1df44ad3c87946e87efcfa6771c799fe77dc',
@@ -144,11 +145,16 @@ def sha(data: bytes) -> str:
 
 def run_case(name):
     kwargs, (ids, ts) = CASES[name]
-    engine = make_engine(**dict(dict(n_input=12, n_exc=6, seed=11,
-                                     log_activations=True), **kwargs))
+    engine = make_engine(**dict(dict(n_input=12, n_exc=6, seed=11), **kwargs))
     result = engine.run(packet_array(ids, ts), stop_ts=int(ts.max()) + 4)
     delta = engine._w_delta
-    counters = repr((sorted(result.stats.as_dict().items()), engine.activation_log))
+    # the (ts, phase, count) activation log the digests were recorded from
+    log = [(t, phase, count)
+           for t, (n, fired) in enumerate(zip(result.steps["integrated"].tolist(),
+                                              result.steps["fired"].tolist()))
+           for phase, count in (("integrate", n), ("leak", engine.store.n_exc),
+                                ("fire", fired))]
+    counters = repr((sorted(result.stats.as_dict().items()), log))
     return (sha(result.outputs.tobytes()), sha(store_to_bytes(engine.store)),
             None if delta is None else sha(delta.tobytes()), sha(counters.encode()))
 

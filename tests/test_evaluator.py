@@ -88,7 +88,7 @@ class TestAssignLabels:
     def test_round_trips_through_dict(self):
         cfg = detector_config()
         labels = assign_labels(detector_engine(cfg), onehot_samples(), cfg, 2)
-        clone = NeuronLabels.from_dict(labels.to_dict())
+        clone = NeuronLabels.from_dict(labels.to_dict(), 2)
         assert np.array_equal(clone.label, labels.label)
         assert np.array_equal(clone.response, labels.response)
         assert np.array_equal(clone.silent, labels.silent)

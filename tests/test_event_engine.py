@@ -9,13 +9,20 @@ from aersnn.event_engine import (
     PACKET_DTYPE,
     packet_array,
     read_aer_file,
+    write_activation_log,
     write_aer_file,
     write_aer_text,
 )
 from aersnn.numerics import NumericSpec
 from aersnn.topology import TopologyParams, build_network
 
-from conftest import GAPPED_FIRED_SETS, grid_to_packets, make_engine
+from conftest import (
+    GAPPED_FIRED_SETS,
+    STILL_LIF,
+    STILL_TRACE,
+    grid_to_packets,
+    make_engine,
+)
 
 
 class TestConstruction:
@@ -109,18 +116,23 @@ class TestIntegrateHandler:
         assert np.any(eng.store.exc_v != 0.0)
 
     def test_out_of_range_id_dropped_and_counted(self):
+        # run drops ids outside the input layer before integrate sees them
         eng = make_engine(n_input=4)
-        assert eng.integrate_handler(np.array([4])) == 0
-        assert eng.stats.packets_dropped == 1
-        assert eng.stats.packets_integrated == 0
+        res = eng.run(packet_array([4], [0]), stop_ts=1)
+        assert res.steps["integrated"].tolist() == [0]
+        assert res.stats.packets_dropped == 1
+        assert res.stats.packets_integrated == 0
         assert np.all(eng.store.exc_v == 0.0)
 
     def test_repeated_id_integrates_the_depressed_row(self):
         # the second spike of input 0 in the step sees the row after the
-        # first spike's depression: v = w + clip(w - a_post * x)
-        eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]])
+        # first spike's depression: v = w + clip(w - a_post * x); the
+        # still leak leaves the step's values as integrate left them
+        eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]], lif=STILL_LIF,
+                          trace=STILL_TRACE)
         eng.store.exc_x[:] = 2.0
-        assert eng.integrate_handler(np.array([0, 0])) == 2
+        res = eng.run(packet_array([0, 0], [0, 0]), stop_ts=1)
+        assert res.steps["integrated"].tolist() == [2]
         depressed = np.clip(0.5 - 0.005 * 2.0, 0.0, 1.0)
         assert eng.store.exc_v[0] == 0.5 + depressed
         assert eng.store.w[0, 0] == np.clip(depressed - 0.005 * 2.0, 0.0, 1.0)
@@ -241,13 +253,16 @@ class TestRun:
         assert res.stats.packets_integrated + res.stats.packets_dropped == 4
         assert res.stats.packets_dropped == 2
 
-    def test_fsm_phase_order_within_each_step(self):
-        eng = make_engine(log_activations=True)
+    def test_fsm_phase_order_within_each_step(self, tmp_path):
+        eng = make_engine()
         grid = np.zeros((6, 4), dtype=bool)
         grid[0, 1] = grid[2, 0] = grid[2, 3] = True
-        eng.run(grid_to_packets(grid), stop_ts=6)
+        res = eng.run(grid_to_packets(grid), stop_ts=6)
+        path = tmp_path / "activations.csv"
+        write_activation_log(path, res.steps, eng.store.n_exc)
         order = {"integrate": 0, "leak": 1, "fire": 2}
-        log = eng.activation_log
+        log = [(int(ts), phase, int(count)) for ts, phase, count in
+               (line.split(",") for line in path.read_text().splitlines())]
         by_step = {}
         for ts, phase, _ in log:
             by_step.setdefault(ts, []).append(order[phase])
@@ -295,16 +310,33 @@ class TestRun:
             assert stats.fire_activations == 80
 
     def test_id_repeated_within_a_step_splits_as_in_the_handler(self):
-        # run checks the stream once; a step that repeats an id must still
-        # integrate its row as depressed by the earlier occurrence
+        # run splits a step that repeats an id into runs of distinct ids, so
+        # the repeat integrates its row as depressed by the earlier occurrence
         engines = [make_engine(n_input=2, n_exc=1, weights=[[0.5], [0.25]]) for _ in range(2)]
         for eng in engines:
             eng.store.exc_x[:] = 2.0
         engines[0].run(packet_array([1, 0, 1], [0, 0, 0]), stop_ts=1)
-        engines[1].integrate_handler(np.array([1, 0, 1]))
+        engines[1].integrate_handler(np.array([1, 0]))
+        engines[1].integrate_handler(np.array([1]))
         engines[1].leak_handler()
         engines[1].fire_handler(0)
         assert engines[0].store.state_equal(engines[1].store)
+
+    def test_step_record_and_stats_count_by_hand(self):
+        # step 0 drops id 9, step 1 drops its only id (idle), step 3 repeats
+        # id 2 and fires neuron 0 through the strong row of input 0
+        weights = [[1.5, 0.0, 0.0], [0.2, 0.2, 0.2], [0.1, 0.1, 0.1], [0.0, 0.0, 0.0]]
+        eng = make_engine(n_input=4, n_exc=3, weights=weights, learning=False)
+        res = eng.run(packet_array([1, 9, 7, 2, 0, 2], [0, 0, 1, 3, 3, 3]), stop_ts=5)
+        assert res.steps["packets_in"].tolist() == [2, 1, 0, 3, 0]
+        assert res.steps["integrated"].tolist() == [1, 0, 0, 3, 0]
+        assert res.steps["fired"].tolist() == [0, 0, 0, 1, 0]
+        assert res.outputs.tolist() == [(0, 3)]
+        assert res.stats.as_dict() == dict(
+            packets_in=6, packets_integrated=4, packets_dropped=2, packets_out=1,
+            integrate_activations=4, leak_activations=5, fire_activations=5,
+            timesteps=5, idle_steps=3)
+        assert eng.steps is res.steps and eng.stats is res.stats
 
     def test_run_resets_stats_between_calls(self):
         eng = make_engine()

@@ -13,7 +13,6 @@ from aersnn.numerics import (
     VOLTAGE_FORMAT,
     WEIGHT_FORMAT,
     convert_raw_array,
-    exp_decay_reference,
     fixed_add,
     fixed_convert,
     fixed_mul,
@@ -26,6 +25,8 @@ from aersnn.numerics import (
     trunc_shift_raw,
 )
 from aersnn.numerics import _trunc_shift_int
+
+from oracles import exp_decay_reference
 
 Q8_8 = QFormat(8, 8)
 FIXED = NumericSpec(mode="fixed", v_format=Q8_8).arithmetic
