@@ -24,6 +24,10 @@ a replayed ``.aer`` trace whose length is not a whole number of 6-byte
 packets; 3 runtime protocol violation on the AER stream (decreasing
 timestamps, more neurons firing in one step than ``engine.fifo_capacity``).
 
+With ``engine.log_activations`` on, ``train`` writes to ``activations.csv``
+the per-step record of the last sample it ran, the last evaluated test
+sample; a trace replay writes the record of its one stream.
+
 When ``data.aer_trace`` names a recorded trace file, ``eval`` replays it
 through the checkpointed network as one continuous stream (no per-sample
 resets, no classifier) and writes the emitted spikes, which is how a
@@ -62,6 +66,7 @@ from .evaluator import (
     build_engine,
     evaluate,
     run_experiment,
+    slice_counted,
     sweep,
     NeuronLabels,
 )
@@ -251,10 +256,8 @@ def cmd_eval(args) -> int:
             f"labels cover {labels.label.shape[0]} neurons, config has {cfg.n_exc}"
         )
     _, test_set = _load_dataset(cfg)
-    test_slice = test_set if cfg.eval_samples < 0 else test_set[: cfg.eval_samples]
-    engine = build_engine(cfg, store)
-    engine.learning = False
-    metrics = evaluate(engine, labels, test_slice, cfg)
+    test_slice = slice_counted(test_set, cfg.eval_samples)
+    metrics = evaluate(build_engine(cfg, store), labels, test_slice, cfg)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -285,10 +288,7 @@ def cmd_sweep(args) -> int:
     sweep_rows = ["value,accuracy,runtime_s\n"]
     csv_rows = ["value,accuracy\n"]
     for point in points:
-        point_hash = config_hash(cfg.with_value(
-            args.param,
-            int(point.value) if args.param != "v_thresh" else point.value))
-        record = _metrics_record("sweep", point_hash, cfg.seed, point.metrics)
+        record = _metrics_record("sweep", config_hash(point.cfg), cfg.seed, point.metrics)
         record["param"] = point.param
         record["value"] = point.value
         json_lines.append(_json_line(record))
@@ -306,7 +306,7 @@ def cmd_encode(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
     train_set, _ = _load_dataset(cfg)
-    subset = train_set if cfg.train_samples < 0 else train_set[: cfg.train_samples]
+    subset = slice_counted(train_set, cfg.train_samples)
     streams = [
         poisson_encode(sample, cfg.encoder_params(derive_seed(cfg.seed, STREAM_ENCODE, idx)))
         for idx, sample in enumerate(subset)

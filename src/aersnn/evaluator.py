@@ -8,6 +8,12 @@ id; all-silent neurons get class 0 and a silence flag). Inference then
 scores a sample by the mean spike count of each label group and picks the
 argmax, again with ties to the lowest class.
 
+Training, labeling and evaluation run each sample from rest through one
+driver, which encodes sample ``idx`` with ``derive_seed(cfg.seed, *stream,
+idx)`` for the stream ``(STREAM_TRAIN, epoch)``, ``(STREAM_LABEL,)`` or
+``(STREAM_EVAL,)``. Every pass restores ``engine.learning`` when it ends or
+raises; labeling and evaluation run with learning off.
+
 ``run_experiment`` is the one train/label/evaluate pipeline shared by the
 CLI commands and the hyperparameter sweeps.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,7 @@ __all__ = [
     "build_engine",
     "train_pass",
     "run_experiment",
+    "slice_counted",
 ]
 
 log = logging.getLogger(__name__)
@@ -101,6 +109,7 @@ class Metrics:
 class SweepPoint:
     param: str
     value: float
+    cfg: RunConfig  # the config this point ran
     metrics: Metrics
     runtime_s: float
 
@@ -135,12 +144,20 @@ def build_engine(cfg: RunConfig, store: StateStore | None = None) -> EventEngine
     )
 
 
-def _sample_counts(engine: EventEngine, sample: Sample, cfg: RunConfig,
-                   seed: int) -> np.ndarray:
-    reset_for_sample(engine.store)
-    packets = poisson_encode(sample, cfg.encoder_params(seed))
-    result = engine.run(packets, stop_ts=cfg.timesteps)
-    return np.bincount(result.outputs.neuron_id, minlength=engine.store.n_exc)
+def _run_samples(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
+                 stream: tuple[int, ...], *, learning: bool) -> Iterator[tuple]:
+    """Yield each sample, its ``RunResult`` and its spike count per
+    excitatory neuron, run with ``engine.learning`` set to ``learning``."""
+    was_learning = engine.learning
+    engine.learning = learning
+    try:
+        for idx, sample in enumerate(samples):
+            reset_for_sample(engine.store)
+            params = cfg.encoder_params(derive_seed(cfg.seed, *stream, idx))
+            run = engine.run(poisson_encode(sample, params), stop_ts=cfg.timesteps)
+            yield sample, run, np.bincount(run.outputs.neuron_id, minlength=engine.store.n_exc)
+    finally:
+        engine.learning = was_learning
 
 
 def train_pass(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
@@ -148,16 +165,14 @@ def train_pass(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
     """Stream samples through the engine with online learning, flushing
     accumulated weight deltas every batch_size samples. Returns aggregate
     packet counters."""
-    engine.learning = learning
     totals = {"samples": 0, "packets_in": 0, "packets_out": 0}
     for epoch in range(cfg.epochs):
-        for idx, sample in enumerate(samples):
-            seed = derive_seed(cfg.seed, STREAM_TRAIN, epoch, idx)
-            _sample_counts(engine, sample, cfg, seed)
+        runs = _run_samples(engine, samples, cfg, (STREAM_TRAIN, epoch), learning=learning)
+        for n, (_, result, _) in enumerate(runs, 1):
             totals["samples"] += 1
-            totals["packets_in"] += engine.stats.packets_in
-            totals["packets_out"] += engine.stats.packets_out
-            if engine.accumulate_updates and (idx + 1) % cfg.batch_size == 0:
+            totals["packets_in"] += result.stats.packets_in
+            totals["packets_out"] += result.stats.packets_out
+            if engine.accumulate_updates and n % cfg.batch_size == 0:
                 engine.apply_accumulated_updates()
         if engine.accumulate_updates:
             engine.apply_accumulated_updates()
@@ -169,19 +184,13 @@ def assign_labels(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
     """Frozen-weight labeling pass over a labeled sample set."""
     if not samples:
         raise ValueError("labeling needs at least one sample")
-    was_learning = engine.learning
-    engine.learning = False
     n_exc = engine.store.n_exc
     sums = np.zeros((n_exc, n_classes), dtype=np.float64)
     class_counts = np.zeros(n_classes, dtype=np.int64)
-    try:
-        for idx, sample in enumerate(samples):
-            seed = derive_seed(cfg.seed, STREAM_LABEL, idx)
-            counts = _sample_counts(engine, sample, cfg, seed)
-            sums[:, sample.label] += counts
-            class_counts[sample.label] += 1
-    finally:
-        engine.learning = was_learning
+    for sample, _, counts in _run_samples(engine, samples, cfg, (STREAM_LABEL,),
+                                          learning=False):
+        sums[:, sample.label] += counts
+        class_counts[sample.label] += 1
     response = np.divide(
         sums,
         np.maximum(class_counts, 1)[None, :],
@@ -215,16 +224,9 @@ def evaluate(engine: EventEngine, labels: NeuronLabels, samples: list[Sample],
         raise ValueError("evaluation needs at least one sample")
     n_classes = labels.response.shape[1]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    was_learning = engine.learning
-    engine.learning = False
-    try:
-        for idx, sample in enumerate(samples):
-            seed = derive_seed(cfg.seed, STREAM_EVAL, idx)
-            counts = _sample_counts(engine, sample, cfg, seed)
-            predicted = classify(counts, labels)
-            confusion[sample.label, predicted] += 1
-    finally:
-        engine.learning = was_learning
+    for sample, _, counts in _run_samples(engine, samples, cfg, (STREAM_EVAL,),
+                                          learning=False):
+        confusion[sample.label, classify(counts, labels)] += 1
     total = confusion.sum()
     accuracy = float(np.trace(confusion)) / float(total)
     row_sums = confusion.sum(axis=1)
@@ -235,7 +237,7 @@ def evaluate(engine: EventEngine, labels: NeuronLabels, samples: list[Sample],
     return Metrics(accuracy=accuracy, confusion=confusion, per_class_recall=recall)
 
 
-def _slice_counted(samples: list[Sample], count: int) -> list[Sample]:
+def slice_counted(samples: list[Sample], count: int) -> list[Sample]:
     """-1 keeps the whole split, 0 selects nothing."""
     return samples if count < 0 else samples[:count]
 
@@ -245,8 +247,8 @@ def run_experiment(cfg: RunConfig, train_samples: list[Sample],
                    initial_store: StateStore | None = None,
                    *, learning: bool = True) -> ExperimentResult:
     """Train, label on the tail slice of the training set, evaluate."""
-    train_slice = _slice_counted(train_samples, cfg.train_samples)
-    test_slice = _slice_counted(test_samples, cfg.eval_samples)
+    train_slice = slice_counted(train_samples, cfg.train_samples)
+    test_slice = slice_counted(test_samples, cfg.eval_samples)
     engine = build_engine(cfg, initial_store)
     train_stats = {"samples": 0, "packets_in": 0, "packets_out": 0}
     if train_slice:
@@ -276,8 +278,8 @@ def sweep(param: str, values, cfg: RunConfig, train_samples: list[Sample],
         result = run_experiment(run_cfg, train_samples, test_samples)
         elapsed = time.perf_counter() - started
         points.append(
-            SweepPoint(param=param, value=float(value), metrics=result.metrics,
-                       runtime_s=elapsed)
+            SweepPoint(param=param, value=float(value), cfg=run_cfg,
+                       metrics=result.metrics, runtime_s=elapsed)
         )
         log.info("sweep %s=%s -> accuracy %.4f (%.1fs)",
                  param, value, result.metrics.accuracy, elapsed)

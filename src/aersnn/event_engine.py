@@ -34,7 +34,8 @@ id repeated within a step must integrate its row as depressed by its
 earlier occurrence. The handlers only integrate, leak and fire. ``run``
 also counts, into one per-step record (``STEP_DTYPE``), the packets that
 arrived, the packets integrated and the neurons fired; ``EngineStats``
-holds its column sums.
+holds its column sums. ``run`` returns both in its ``RunResult``, and the
+engine keeps the last record as ``steps``.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -167,13 +168,12 @@ def write_aer_text(path, packets: np.ndarray) -> int:
 
 @dataclass
 class EngineStats:
+    """The counters of one run. Each step leaks and fires once, so
+    ``timesteps`` and ``packets_integrated`` count the phase activations."""
     packets_in: int = 0
     packets_integrated: int = 0
     packets_dropped: int = 0
     packets_out: int = 0
-    integrate_activations: int = 0
-    leak_activations: int = 0
-    fire_activations: int = 0
     timesteps: int = 0
     idle_steps: int = 0
 
@@ -181,10 +181,8 @@ class EngineStats:
     def from_steps(cls, steps: np.ndarray) -> "EngineStats":
         """The column sums of a per-step record of ``STEP_DTYPE``."""
         n_in, n_int = int(steps["packets_in"].sum()), int(steps["integrated"].sum())
-        n = len(steps)
         return cls(packets_in=n_in, packets_integrated=n_int, packets_dropped=n_in - n_int,
-                   packets_out=int(steps["fired"].sum()), integrate_activations=n_int,
-                   leak_activations=n, fire_activations=n, timesteps=n,
+                   packets_out=int(steps["fired"].sum()), timesteps=len(steps),
                    idle_steps=int((steps["integrated"] == 0).sum()))
 
     def as_dict(self) -> dict:
@@ -286,9 +284,8 @@ class EventEngine:
         self.v_floor = -lif.v_thresh if v_floor is None else float(v_floor)
         self.fifo_capacity = fifo_capacity
         self.accumulate_updates = accumulate_updates
-        # the per-step record of the last run, and its column sums
+        # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
-        self.stats = EngineStats()
         self._w_delta = None
         if accumulate_updates:
             self._w_delta = np.zeros_like(store.w)
@@ -407,10 +404,10 @@ class EventEngine:
             self.leak_handler()
             fired_per_step.append(self.fire_handler(t))
         steps["fired"] = [f.size for f in fired_per_step]
-        self.steps, self.stats = steps, EngineStats.from_steps(steps)
+        self.steps = steps
         outputs = packet_array(np.concatenate([np.empty(0, np.intp)] + fired_per_step),
                                np.repeat(np.arange(stop_ts), steps["fired"]))
-        return RunResult(outputs=outputs, stats=self.stats, steps=steps)
+        return RunResult(outputs=outputs, stats=EngineStats.from_steps(steps), steps=steps)
 
 
 def write_activation_log(path, steps: np.ndarray, n_exc: int) -> None:

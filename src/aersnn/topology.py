@@ -30,7 +30,6 @@ import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -147,10 +146,11 @@ def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
     return store.arith.repeated_sums(store.arith.voltage(w_inh), store.n_exc)
 
 
-def queue_inhibition(store: StateStore, fired: Iterable[int], credit: np.ndarray) -> None:
+def queue_inhibition(store: StateStore, fired: np.ndarray, credit: np.ndarray) -> None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
-    except the firing one, once per firing neuron. Applied and cleared by
-    the next leak phase. ``credit`` is ``inhibition_credit(store, w_inh)``.
+    except the firing one, once per firing neuron; ``fired`` is an array of
+    the distinct ids that fired. Applied and cleared by the next leak
+    phase. ``credit`` is ``inhibition_credit(store, w_inh)``.
 
     Closed form of the per-neuron loop: with k distinct neurons firing,
     every other neuron is credited k times and each firing one k - 1
@@ -159,7 +159,6 @@ def queue_inhibition(store: StateStore, fired: Iterable[int], credit: np.ndarray
     the sequential loop's when ``pending`` holds no inhibition yet, which
     is so at fire time, right after the leak cleared it.
     """
-    fired = np.asarray(fired if isinstance(fired, np.ndarray) else list(fired), dtype=np.intp)
     k = fired.size
     if k:
         add = np.full(store.n_exc, credit[k])

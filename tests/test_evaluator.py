@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aersnn.config import RunConfig
-from aersnn.encoders import Sample
+from aersnn import evaluator
+from aersnn.config import STREAM_TRAIN, RunConfig, derive_seed
+from aersnn.encoders import Sample, poisson_encode
 from aersnn.evaluator import (
     Metrics,
     NeuronLabels,
@@ -12,8 +13,9 @@ from aersnn.evaluator import (
     evaluate,
     run_experiment,
     sweep,
+    train_pass,
 )
-from aersnn.topology import store_to_bytes
+from aersnn.topology import reset_for_sample, store_to_bytes
 
 
 def detector_config(**overrides):
@@ -166,6 +168,76 @@ class TestEvaluate:
         w_bytes = engine.store.w.tobytes()
         evaluate(engine, labels, onehot_samples(), cfg)
         assert engine.store.w.tobytes() == w_bytes
+
+
+def random_samples(n, n_input=5, seed=4):
+    rng = np.random.default_rng(seed)
+    return [Sample(features=rng.random(n_input), label=k % 2) for k in range(n)]
+
+
+def train_by_hand(engine, samples, cfg, flush_after=()):
+    """``train_pass`` written out: sample ``idx`` of epoch ``e`` is encoded
+    with the seed of (STREAM_TRAIN, e, idx), and the accumulated updates
+    are applied after each sample number in ``flush_after``."""
+    packets_in = packets_out = 0
+    for epoch in range(cfg.epochs):
+        for n, sample in enumerate(samples, 1):
+            reset_for_sample(engine.store)
+            seed = derive_seed(cfg.seed, STREAM_TRAIN, epoch, n - 1)
+            result = engine.run(poisson_encode(sample, cfg.encoder_params(seed)),
+                                stop_ts=cfg.timesteps)
+            packets_in += result.stats.packets_in
+            packets_out += result.stats.packets_out
+            if n in flush_after:
+                engine.apply_accumulated_updates()
+    return packets_in, packets_out
+
+
+class TestTrainPass:
+    def learning_config(self, **overrides):
+        return detector_config(n_input=5, n_exc=3, max_rate=0.6, epochs=2, **overrides)
+
+    def test_totals_are_the_sums_of_the_sample_runs(self):
+        cfg = self.learning_config()
+        samples = random_samples(5)
+        engine, by_hand = build_engine(cfg), build_engine(cfg)
+        totals = train_pass(engine, samples, cfg)
+        packets_in, packets_out = train_by_hand(by_hand, samples, cfg)
+        assert totals == {"samples": 10, "packets_in": packets_in, "packets_out": packets_out}
+        assert packets_out > 0
+        assert store_to_bytes(engine.store) == store_to_bytes(by_hand.store)
+
+    def test_batches_flush_every_batch_size_samples_and_at_epoch_end(self):
+        cfg = self.learning_config(batch_size=3)
+        samples = random_samples(7)
+        engine, by_hand = build_engine(cfg), build_engine(cfg)
+        initial = engine.store.w.copy()
+        train_pass(engine, samples, cfg)
+        train_by_hand(by_hand, samples, cfg, flush_after=(3, 6, 7))
+        assert not np.array_equal(engine.store.w, initial)
+        assert store_to_bytes(engine.store) == store_to_bytes(by_hand.store)
+
+    def test_frozen_pass_restores_learning(self):
+        cfg = self.learning_config()
+        engine = build_engine(cfg)
+        weights = engine.store.w.copy()
+        train_pass(engine, random_samples(3), cfg, learning=False)
+        assert engine.learning is True
+        assert np.array_equal(engine.store.w, weights)
+
+    def test_evaluate_restores_learning_when_classify_raises(self, monkeypatch):
+        cfg = detector_config()
+        engine = detector_engine(cfg)
+        labels = assign_labels(engine, onehot_samples(), cfg, n_classes=2)
+        engine.learning = True
+
+        def failing_classify(counts, labels):
+            raise RuntimeError("classifier failed")
+
+        monkeypatch.setattr(evaluator, "classify", failing_classify)
+        with pytest.raises(RuntimeError, match="classifier failed"):
+            evaluate(engine, labels, onehot_samples(), cfg)
+        assert engine.learning is True
 
 
 class TestRunExperiment:

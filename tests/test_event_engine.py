@@ -213,8 +213,7 @@ class TestRun:
         eng = make_engine()
         res = eng.run(packet_array([], []), stop_ts=10)
         assert res.outputs.size == 0
-        assert res.stats.leak_activations == 10
-        assert res.stats.fire_activations == 10
+        assert res.stats.timesteps == 10
         assert res.stats.idle_steps == 10
 
     def test_gap_runs_one_cycle_per_elapsed_step(self):
@@ -305,9 +304,8 @@ class TestRun:
             res = eng.run(grid_to_packets(grid), stop_ts=80)
             totals[rate] = (res.stats, int(grid.sum()))
         for rate, (stats, n_spikes) in totals.items():
-            assert stats.integrate_activations == n_spikes
-            assert stats.leak_activations == 80
-            assert stats.fire_activations == 80
+            assert stats.packets_integrated == n_spikes
+            assert stats.timesteps == 80
 
     def test_id_repeated_within_a_step_splits_as_in_the_handler(self):
         # run splits a step that repeats an id into runs of distinct ids, so
@@ -334,9 +332,8 @@ class TestRun:
         assert res.outputs.tolist() == [(0, 3)]
         assert res.stats.as_dict() == dict(
             packets_in=6, packets_integrated=4, packets_dropped=2, packets_out=1,
-            integrate_activations=4, leak_activations=5, fire_activations=5,
             timesteps=5, idle_steps=3)
-        assert eng.steps is res.steps and eng.stats is res.stats
+        assert eng.steps is res.steps
 
     def test_run_resets_stats_between_calls(self):
         eng = make_engine()

@@ -69,29 +69,29 @@ class TestBuildNetwork:
 class TestQueueInhibition:
     def test_no_fires_no_change(self):
         store = small_store()
-        queue_inhibition(store, set(), inhibition_credit(store, 0.5))
+        queue_inhibition(store, np.array([], dtype=np.intp), inhibition_credit(store, 0.5))
         assert np.all(store.pending == 0.0)
 
     def test_all_but_self(self):
         store = small_store()
-        queue_inhibition(store, {1}, inhibition_credit(store, 0.5))
+        queue_inhibition(store, np.array([1]), inhibition_credit(store, 0.5))
         assert store.pending.tolist() == [0.5, 0.0, 0.5]
 
     def test_superposition_of_two_fires(self):
         store = small_store()
-        queue_inhibition(store, {0, 1}, inhibition_credit(store, 0.5))
+        queue_inhibition(store, np.array([0, 1]), inhibition_credit(store, 0.5))
         assert store.pending.tolist() == [0.5, 0.5, 1.0]
 
     def test_self_exclusion(self):
         store = small_store()
         before = store.pending[1]
-        queue_inhibition(store, {1}, inhibition_credit(store, 0.5))
+        queue_inhibition(store, np.array([1]), inhibition_credit(store, 0.5))
         assert store.pending[1] == before
 
     def test_fixed_mode_saturates_at_format_top(self):
         store = small_store(numeric=NumericSpec(mode="fixed"))
         for _ in range(10):
-            queue_inhibition(store, {0}, inhibition_credit(store, 100.0))
+            queue_inhibition(store, np.array([0]), inhibition_credit(store, 100.0))
         top = store.numeric.v_format.raw_max
         assert np.all(store.pending[1:] == top)
 
