@@ -145,6 +145,15 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
     return train, test
 
 
+def _eval_slice(cfg: RunConfig, test_set: list[Sample]) -> list[Sample]:
+    """The test samples ``eval.samples`` selects; none is a config error."""
+    test_slice = slice_counted(test_set, cfg.eval_samples)
+    if not test_slice:
+        raise ConfigError(f"eval.samples = {cfg.eval_samples} selects none of the "
+                          f"{len(test_set)} test samples")
+    return test_slice
+
+
 def _load_checkpoint(path: Path, cfg: RunConfig):
     store, seed, _ = load_store(path)
     try:
@@ -179,6 +188,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
     train_set, test_set = _load_dataset(cfg)
+    _eval_slice(cfg, test_set)
     initial = _load_checkpoint(args.checkpoint, cfg) if args.checkpoint else None
     result = run_experiment(cfg, train_set, test_set, initial,
                             learning=not args.no_learning)
@@ -256,7 +266,7 @@ def cmd_eval(args) -> int:
             f"labels cover {labels.label.shape[0]} neurons, config has {cfg.n_exc}"
         )
     _, test_set = _load_dataset(cfg)
-    test_slice = slice_counted(test_set, cfg.eval_samples)
+    test_slice = _eval_slice(cfg, test_set)
     metrics = evaluate(build_engine(cfg, store), labels, test_slice, cfg)
 
     out = args.out
@@ -280,6 +290,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     train_set, test_set = _load_dataset(cfg)
+    _eval_slice(cfg, test_set)
     points = sweep(args.param, values, cfg, train_set, test_set)
 
     out = args.out

@@ -12,7 +12,12 @@ Training, labeling and evaluation run each sample from rest through one
 driver, which encodes sample ``idx`` with ``derive_seed(cfg.seed, *stream,
 idx)`` for the stream ``(STREAM_TRAIN, epoch)``, ``(STREAM_LABEL,)`` or
 ``(STREAM_EVAL,)``. Every pass restores ``engine.learning`` when it ends or
-raises; labeling and evaluation run with learning off.
+raises; labeling and evaluation run with learning off. A learning pass
+runs one sample per engine run. A frozen pass runs chunks of up to
+``LANES`` samples in lockstep lanes of one ``run_lanes``, each lane from
+the reset store; no sample's result depends on its chunk, and the store
+ends in the last sample's state, as one sample per run leaves it. A FIFO
+overflow raises for the first sample that overflows.
 
 ``run_experiment`` is the one train/label/evaluate pipeline shared by the
 CLI commands and the hyperparameter sweeps.
@@ -32,6 +37,7 @@ from .config import (
     STREAM_INIT,
     STREAM_LABEL,
     STREAM_TRAIN,
+    ConfigError,
     RunConfig,
     derive_seed,
 )
@@ -58,6 +64,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SWEEPABLE_PARAMS = ("n_exc", "batch_size", "v_thresh", "timesteps")
+# frozen samples per engine call; samples/s rose up to 16 lanes and fell at
+# 64 (784x100 digits and 251x100 beats, on a 2-core host)
+LANES = 16
 
 
 @dataclass
@@ -147,15 +156,25 @@ def build_engine(cfg: RunConfig, store: StateStore | None = None) -> EventEngine
 def _run_samples(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
                  stream: tuple[int, ...], *, learning: bool) -> Iterator[tuple]:
     """Yield each sample, its ``RunResult`` and its spike count per
-    excitatory neuron, run with ``engine.learning`` set to ``learning``."""
+    excitatory neuron, run with ``engine.learning`` set to ``learning``.
+    A learning pass runs one sample per ``run``; a frozen pass runs up to
+    ``LANES`` samples per ``run_lanes``, each from the reset store."""
     was_learning = engine.learning
     engine.learning = learning
+    width = 1 if learning else LANES
     try:
-        for idx, sample in enumerate(samples):
+        for start in range(0, len(samples), width):
+            chunk = samples[start:start + width]
             reset_for_sample(engine.store)
-            params = cfg.encoder_params(derive_seed(cfg.seed, *stream, idx))
-            run = engine.run(poisson_encode(sample, params), stop_ts=cfg.timesteps)
-            yield sample, run, np.bincount(run.outputs.neuron_id, minlength=engine.store.n_exc)
+            seeds = (derive_seed(cfg.seed, *stream, idx) for idx in range(start, start + width))
+            streams = [poisson_encode(sample, cfg.encoder_params(seed))
+                       for sample, seed in zip(chunk, seeds)]
+            if learning:
+                runs = [engine.run(streams[0], stop_ts=cfg.timesteps)]
+            else:
+                runs = engine.run_lanes(streams, stop_ts=cfg.timesteps)
+            for sample, run in zip(chunk, runs):
+                yield sample, run, np.bincount(run.outputs.neuron_id, minlength=engine.store.n_exc)
     finally:
         engine.learning = was_learning
 
@@ -265,15 +284,21 @@ def run_experiment(cfg: RunConfig, train_samples: list[Sample],
 
 def sweep(param: str, values, cfg: RunConfig, train_samples: list[Sample],
           test_samples: list[Sample]) -> list[SweepPoint]:
-    """Train and evaluate once per value of one hyperparameter."""
+    """Train and evaluate once per value of one hyperparameter. Every
+    point's config is validated before the first point runs."""
     if param not in SWEEPABLE_PARAMS:
         raise ValueError(
             f"unknown sweep parameter {param!r}, expected one of {SWEEPABLE_PARAMS}"
         )
+    cast = int if param in ("n_exc", "batch_size", "timesteps") else float
+    configs = [cfg.with_value(param, cast(value)) for value in values]
+    for value, run_cfg in zip(values, configs):
+        try:
+            run_cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {param} = {value}: {exc}") from exc
     points = []
-    for value in values:
-        cast = int(value) if param in ("n_exc", "batch_size", "timesteps") else float(value)
-        run_cfg = cfg.with_value(param, cast)
+    for value, run_cfg in zip(values, configs):
         started = time.perf_counter()
         result = run_experiment(run_cfg, train_samples, test_samples)
         elapsed = time.perf_counter() - started

@@ -27,15 +27,25 @@ any state changes, and a violation raises ``ProtocolError``. The output
 buffer is drained after every step and holds ``fifo_capacity`` packets:
 more neurons than that firing in one step raises ``FifoOverflowError``.
 
-``run`` owns the stream, as the controller does in hardware: once per
-stream it drops the ids outside the input layer, and splits the ids of a
+``run_lanes`` runs several streams in lockstep lanes, and ``run`` is its
+one-lane case. The handlers act on lane state, ``(lanes, n)`` voltages,
+traces and pending inhibition; outside a run, and in a one-lane run, that
+is the store's own arrays. Every lane starts from the store's state at
+the call and the last lane's end state is written back, so lanes equal
+the streams run one by one through ``run`` from that state. Learning runs
+one lane only. Every stream is checked before any state changes, the
+lowest bad lane raising; a FIFO overflow raises for the lowest lane that
+overflows, as run one by one it would come first.
+
+The run owns its streams, as the controller does in hardware: once per
+call it drops the ids outside the input layer, and splits the ids of a
 step that does not ascend into consecutive runs of distinct ids, since an
 id repeated within a step must integrate its row as depressed by its
-earlier occurrence. The handlers only integrate, leak and fire. ``run``
-also counts, into one per-step record (``STEP_DTYPE``), the packets that
-arrived, the packets integrated and the neurons fired; ``EngineStats``
-holds its column sums. ``run`` returns both in its ``RunResult``, and the
-engine keeps the last record as ``steps``.
+earlier occurrence. It counts, into one per-step record per lane
+(``STEP_DTYPE``), the packets that arrived, the packets integrated and
+the neurons fired; ``EngineStats`` holds its column sums. Each lane's
+``RunResult`` holds both, and the engine keeps the last lane's record as
+``steps``.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -44,15 +54,20 @@ numeric modes, because:
 * the voltage sum adds the rows ``v, w[i1], w[i2], ...`` one at a time, in
   stream order: a reduction down the rows of a C-ordered stack, or a
   cumulative sum, never regroups them;
+* with learning off the weights are frozen, so a run reads its rows from
+  one C-ordered copy, converted once to the voltage format in fixed mode.
+  A lane with fewer ids in a run reads the pad id ``n_input``, whose row
+  adds nothing: ``x + (-0.0)`` is ``x`` for every float, -0.0 included,
+  and a saturating add of 0 leaves a fixed value as it is;
 * the post-synaptic traces do not change within integrate, so every row
   gets the same depression: it is subtracted from the rows already
   gathered for the voltage sum, which are clipped in place and scattered
   back once;
 * fixed-point adds saturate. When no prefix of the cumulative sum leaves
   the voltage format, no add saturated and the last prefix is the result;
-  otherwise that step falls back to sequential saturating adds;
+  otherwise that lane falls back to sequential saturating adds;
 * a run of distinct ids reads each row once, so a repeated id, which
-  ``run`` puts in the next run, sees its depressed row;
+  the run puts in the next run, sees its depressed row;
 * the input traces do not change within fire, so every fired column gets
   the same potentiation. The fired ids are ascending; when they form one
   range of consecutive ids (as when every neuron fires), the columns are
@@ -60,8 +75,9 @@ numeric modes, because:
   one gather and scatter. Clips are two-sided, so weights loaded
   from outside ``[w_min, w_max]`` are brought inside as the oracle does;
 * pending inhibition is zero at fire time, as the leak just cleared it.
-  The credit k firings queue is then a function of k alone, tabulated once
-  per engine for k = 0..n_exc and handed to ``queue_inhibition``.
+  The credit k firings of a lane queue is then a function of k alone,
+  tabulated once per engine for k = 0..n_exc and handed to
+  ``queue_inhibition``.
 
 No handler tests the numeric mode: the store's arithmetic object (see
 ``numerics``) does each float- or fixed-specific step, so one set of
@@ -225,26 +241,70 @@ def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> 
         raise ValueError(f"lif.v_rest {lif.v_rest} does not match store v_rest {store.v_rest}")
 
 
-def _step_runs(ids: np.ndarray, ts: np.ndarray) -> dict[int, list[np.ndarray]]:
-    """The ids of each timestep that has any, as consecutive runs in which
-    no id repeats (``ts`` is non-decreasing). A step whose ids ascend is
-    one run; any other is cut before each id already seen in its run."""
-    if not ts.size:
-        return {}
-    cuts = np.flatnonzero(ts[1:] != ts[:-1]) + 1
-    steps = {t: [step] for t, step in zip(ts[np.r_[0, cuts]].tolist(), np.split(ids, cuts))}
-    unsorted = (ids[1:] <= ids[:-1]) & (ts[1:] == ts[:-1])
-    for t in set(ts[1:][unsorted].tolist()):
-        step = steps[t][0]
-        runs, seen, start = [], set(), 0
-        for k, i in enumerate(step.tolist()):
-            if i in seen:
-                runs.append(step[start:k])
-                seen.clear()
-                start = k
-            seen.add(i)
-        steps[t] = runs + [step[start:]]
-    return steps
+def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, list]:
+    """Check every stream, lowest lane first. Return the lanes' ``(lanes,
+    stop_ts)`` step records of the packets that arrived and those
+    integrated, and per timestep the ``(lanes, K)`` id arrays the lanes
+    integrate in turn: a lane's ids of the step inside the input layer,
+    cut into consecutive runs in which no id repeats (a step whose ids
+    ascend is one run, any other is cut before each id already seen in
+    its run). Array k holds run k of every lane, short rows filled up with
+    the pad id ``n_input``."""
+    streams = [np.asarray(packets) for packets in streams]
+    for packets in streams:
+        _check_stream(packets["timestamp"], stop_ts)
+    n_lanes = len(streams)
+    bounds = np.cumsum([0] + [packets.size for packets in streams]).tolist()
+    key = np.empty(bounds[-1], dtype=np.int64)  # lane * stop_ts + timestep
+    ids = np.empty(bounds[-1], dtype=np.intp)
+    for lane, packets in enumerate(streams):
+        np.add(packets["timestamp"], lane * stop_ts, out=key[bounds[lane]:bounds[lane + 1]],
+               dtype=np.int64)
+        ids[bounds[lane]:bounds[lane + 1]] = packets["neuron_id"]
+    steps = np.zeros((n_lanes, stop_ts), dtype=STEP_DTYPE)
+    steps["packets_in"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
+    keep = ids < n_input
+    if not keep.all():
+        key, ids = key[keep], ids[keep]
+    steps["integrated"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
+    runs = [[] for _ in range(stop_ts)]
+    if not ids.size:
+        return steps, runs
+    # a cell is one run of one lane's step, block (t, k) run k of step t
+    new_cell = np.concatenate(([True], key[1:] != key[:-1]))
+    back = np.flatnonzero(~new_cell[1:] & (ids[1:] <= ids[:-1])) + 1
+    if back.size:
+        ends = np.flatnonzero(new_cell).tolist() + [ids.size]
+        for c in sorted(set(np.searchsorted(ends, back, "right").tolist())):
+            seen = set()
+            for j, i in enumerate(ids[ends[c - 1]:ends[c]].tolist(), ends[c - 1]):
+                if i in seen:
+                    new_cell[j] = True
+                    seen.clear()
+                seen.add(i)
+    cell = np.flatnonzero(new_cell)
+    size = np.diff(cell, append=ids.size)
+    cell_key = key[cell]
+    cell_lane, cell_ts = np.divmod(cell_key, stop_ts)
+    # the run index of a cell counts the cells of its lane's step before it
+    index = np.arange(cell.size)
+    first = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
+    cell_run = index - np.maximum.accumulate(np.where(first, index, 0))
+    n_runs = int(cell_run.max()) + 1
+    block = cell_ts * n_runs + cell_run
+    width = np.zeros(stop_ts * n_runs, dtype=np.intp)
+    np.maximum.at(width, block, size)
+    offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
+    flat = ids  # one lane's cells are its blocks, in order
+    if n_lanes > 1:
+        flat = np.full(offset[-1], n_input, dtype=np.intp)
+        start = offset[block] + cell_lane * width[block]
+        flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
+    shape = (n_lanes, -1) if n_lanes > 1 else (-1,)
+    blocks = np.flatnonzero(width)
+    for b, lo, hi in zip(blocks.tolist(), offset[blocks].tolist(), offset[blocks + 1].tolist()):
+        runs[b // n_runs].append(flat[lo:hi].reshape(shape))
+    return steps, runs
 
 
 class EventEngine:
@@ -303,57 +363,92 @@ class EventEngine:
         self._w_min = ar.weight(stdp.w_min)
         self._w_max = ar.weight(stdp.w_max)
         self._inh_credit = inhibition_credit(store, topology.w_inh)
+        # the rows a frozen run integrates, and its first overflow of each
+        # lane above 0
+        self._frozen = None
+        self._overflows: dict[int, FifoOverflowError] = {}
+        self._bind_store()
+
+    def _bind(self, *state: np.ndarray) -> None:
+        """Make the voltages, traces, input traces and pending inhibition
+        in ``state`` the handlers' lane state: ``(lanes, n)`` arrays, or
+        the store's own 1-D arrays as its one lane."""
+        self._v, self._ex, self._ix, self._pend = state
+        self._vf, self._exf, self._ixf = (a.reshape(-1) for a in state[:3])
+        # the flat index of each lane's first input trace
+        self._ix_offset = (np.arange(len(self._ix))[:, None] * self._ix.shape[1]
+                           if self._ix.ndim > 1 else 0)
+
+    def _bind_store(self) -> None:
+        self._bind(*self.store.arrays()[1:])
 
     # -- handlers ---------------------------------------------------------
 
     def integrate_handler(self, ids: np.ndarray) -> int:
-        """Apply input spikes in stream order: add each id's weight row to
-        the excitatory voltages, depress the rows by the post-synaptic
-        traces, bump the input traces. The ids must be inside the input
-        layer and distinct; ``run`` drops and splits a stream so. Returns
-        the number of spikes integrated."""
-        store = self.store
-        rows = store.w[ids]
-        self.arith.add_rows(store.exc_v, rows)
-        if self.learning:
-            drop = self.arith.mul_w(store.exc_x, self._a_post)
-            if self._w_delta is not None:
-                self._w_delta[ids] -= drop
-            else:
-                rows -= drop
-                store.w[ids] = np.clip(rows, self._w_min, self._w_max, out=rows)
+        """Apply one run of input spikes per lane, in stream order: lane b
+        adds the weight rows ``ids[b, 0], ids[b, 1], ...`` to its
+        excitatory voltages, depresses the rows by its post-synaptic
+        traces and bumps its input traces; with the store's state as the
+        one lane, ``ids`` is that lane's 1-D run. The ids of a lane must be
+        inside the input layer and distinct; ``run_lanes`` drops and splits
+        its streams so, and fills short rows of a frozen run with the pad id
+        ``n_input``. Returns the number of spikes integrated."""
+        ar = self.arith
+        if self._frozen is not None:
+            ar.add_rows(self._v, self._frozen[ids])
+            bumped = (ids + self._ix_offset).reshape(-1)
+            count = np.count_nonzero(ids < self.store.n_input)
+        else:
+            # live weights: one lane, as learning runs one lane at a time
+            store, bumped = self.store, ids
+            rows = store.w[bumped]
+            ar.add_rows(self._v, ar.w_to_v(rows))
+            if self.learning:
+                drop = ar.mul_w(self._ex, self._a_post)
+                if self._w_delta is not None:
+                    self._w_delta[bumped] -= drop
+                else:
+                    rows -= drop
+                    store.w[bumped] = np.clip(rows, self._w_min, self._w_max, out=rows)
+            count = bumped.size
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
-        store.input_x[ids] = np.minimum(store.input_x[ids] + self._alpha, self._x_max)
-        return len(ids)
+        ix = self._ixf
+        ix[bumped] = np.minimum(ix[bumped] + self._alpha, self._x_max)
+        return count
 
     def leak_handler(self) -> None:
-        store, ar = self.store, self.arith
-        v = store.exc_v
+        ar, v = self.arith, self._v
         v -= ar.mul_v(v - self._rest, self._decay_v)
-        v -= store.pending
+        v -= self._pend
         ar.saturate_v(v)
         np.maximum(v, self._floor, out=v)
-        store.exc_x -= ar.mul_v(store.exc_x, self._decay_x)
-        store.input_x -= ar.mul_v(store.input_x, self._decay_x)
-        store.pending[:] = 0
+        self._ex -= ar.mul_v(self._ex, self._decay_x)
+        self._ix -= ar.mul_v(self._ix, self._decay_x)
+        self._pend[:] = 0
 
     def fire_handler(self, ts: int) -> np.ndarray:
-        """Fire every neuron at or above threshold in step ``ts``; returns
-        their ids in ascending order."""
-        store = self.store
-        fired = np.flatnonzero(store.exc_v >= self._thresh)
+        """Fire every neuron at or above threshold in step ``ts``, in every
+        lane; returns the flat indices ``lane * n_exc + id`` of the fired
+        neurons in ascending order, which with one lane are their ids."""
+        v = self._vf
+        fired = np.flatnonzero(v >= self._thresh)
         if fired.size > self.fifo_capacity:
-            raise FifoOverflowError(
-                f"{fired.size} neurons fired at step {ts}, "
-                f"output FIFO holds {self.fifo_capacity}"
-            )
+            counts = np.bincount(fired // self.store.n_exc)
+            for lane in np.flatnonzero(counts > self.fifo_capacity).tolist():
+                error = FifoOverflowError(f"{counts[lane]} neurons fired at step {ts}, "
+                                          f"output FIFO holds {self.fifo_capacity}")
+                if lane == 0:
+                    raise error
+                # a lane below may still overflow: run_lanes raises at the end
+                self._overflows.setdefault(lane, error)
         if fired.size:
             if self.learning:
-                self._potentiate(fired, self.arith.mul_w(store.input_x, self._a_pre)[:, None])
-            store.exc_v[fired] = self._rest
-            store.exc_x[fired] = np.minimum(store.exc_x[fired] + self._alpha, self._x_max)
-            queue_inhibition(store, fired, self._inh_credit)
+                self._potentiate(fired, self.arith.mul_w(self._ix, self._a_pre)[:, None])
+            v[fired] = self._rest
+            ex = self._exf
+            ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
+            queue_inhibition(self.store, fired, self._inh_credit, self._pend)
         return fired
 
     def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
@@ -387,27 +482,63 @@ class EventEngine:
         """Simulate timesteps ``0 .. stop_ts - 1`` over a packet array
         sorted by timestamp (see the module docstring for the contract).
         Output packets are stamped with the step they fired in."""
-        packets = np.asarray(packets)
-        ids = packets["neuron_id"].astype(np.intp)
-        ts = packets["timestamp"].astype(np.int64)
-        _check_stream(ts, stop_ts)
-        steps = np.zeros(stop_ts, dtype=STEP_DTYPE)
-        steps["packets_in"] = np.bincount(ts, minlength=stop_ts)
-        keep = ids < self.store.n_input
-        ids, ts = ids[keep], ts[keep]
-        steps["integrated"] = np.bincount(ts, minlength=stop_ts)
-        runs = _step_runs(ids, ts)
+        return self.run_lanes([packets], stop_ts)[0]
+
+    def run_lanes(self, streams: list, stop_ts: int) -> list[RunResult]:
+        """``run`` each packet array of ``streams`` in a lane of its own,
+        all lanes advancing one timestep together; returns one result per
+        stream. Learning on and more than one stream raise ``ValueError``."""
+        n_lanes = len(streams)
+        if self.learning and n_lanes > 1:
+            raise ValueError(f"learning runs one lane at a time, got {n_lanes} streams")
+        if not n_lanes:
+            return []
+        store, ar = self.store, self.arith
+        steps, runs = _plan_lanes(streams, stop_ts, store.n_input)
+        self._bind_store()
+        if n_lanes > 1:
+            state = [np.repeat(a[None], n_lanes, axis=0) for a in store.arrays()[1:]]
+            # one more input trace per lane takes the pad id's bumps
+            state[2] = np.pad(state[2], ((0, 0), (0, 1)))
+            self._bind(*state)
+        # pads need the pad row of a copy, and fixed rows a conversion; one
+        # float lane integrates the live rows as they are
+        if not self.learning and (n_lanes > 1 or not ar.rows_in_v_format):
+            self._frozen = np.full((store.n_input + 1, store.n_exc), ar.pad, dtype=ar.dtype)
+            # a block of rows at a time keeps the conversion's temporaries small
+            for lo in range(0, store.n_input, 64):
+                self._frozen[lo:min(lo + 64, store.n_input)] = ar.w_to_v(store.w[lo:lo + 64])
+        self._overflows = {}
         fired_per_step = []
-        for t in range(stop_ts):
-            for run in runs.get(t, ()):
-                self.integrate_handler(run)
-            self.leak_handler()
-            fired_per_step.append(self.fire_handler(t))
-        steps["fired"] = [f.size for f in fired_per_step]
-        self.steps = steps
-        outputs = packet_array(np.concatenate([np.empty(0, np.intp)] + fired_per_step),
-                               np.repeat(np.arange(stop_ts), steps["fired"]))
-        return RunResult(outputs=outputs, stats=EngineStats.from_steps(steps), steps=steps)
+        try:
+            for t in range(stop_ts):
+                for run in runs[t]:
+                    self.integrate_handler(run)
+                self.leak_handler()
+                fired_per_step.append(self.fire_handler(t))
+            if self._overflows:
+                raise self._overflows[min(self._overflows)]
+            if n_lanes > 1:
+                for a, lanes in zip(store.arrays()[1:], (self._v, self._ex, self._ix, self._pend)):
+                    a[:] = lanes[-1, :a.size]
+        finally:
+            self._frozen = None
+            self._bind_store()
+
+        sizes = [f.size for f in fired_per_step]
+        fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
+        f_ts = np.repeat(np.arange(stop_ts), sizes)
+        if n_lanes == 1:
+            steps["fired"], outputs = sizes, [packet_array(fired, f_ts)]
+        else:
+            f_lane, f_id = np.divmod(fired, store.n_exc)
+            outputs = [packet_array(f_id[f_lane == lane], f_ts[f_lane == lane])
+                       for lane in range(n_lanes)]
+            steps["fired"] = [np.bincount(out.timestamp, minlength=stop_ts) for out in outputs]
+        results = [RunResult(outputs=out, stats=EngineStats.from_steps(rec), steps=rec)
+                   for out, rec in zip(outputs, steps)]
+        self.steps = results[-1].steps
+        return results
 
 
 def write_activation_log(path, steps: np.ndarray, n_exc: int) -> None:

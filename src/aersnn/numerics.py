@@ -277,6 +277,11 @@ def leak_toward(v, rest, p: DecayParams):
 # conversion, saturating narrowing.
 
 
+def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.clip`` for integer arrays, without its per-call checks."""
+    return np.minimum(np.maximum(raw, lo, out=out), hi, out=out)
+
+
 def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:
     if shift <= 0:
         return product << (-shift)
@@ -298,9 +303,16 @@ def convert_raw_array(raw: np.ndarray, src: QFormat, dst: QFormat) -> np.ndarray
     if diff <= 0:
         out = raw << (-diff)
     else:
-        half = 1 << (diff - 1)
-        out = np.where(raw >= 0, (raw + half) >> diff, -((-raw + half) >> diff))
-    return np.clip(out, dst.raw_min, dst.raw_max)
+        # round the magnitude half up: x ^ sign - sign is |x| for the sign
+        # mask 0 or -1, and maps the rounded magnitude back to its sign
+        sign = raw >> 63
+        out = raw ^ sign
+        out -= sign
+        out += 1 << (diff - 1)
+        out >>= diff
+        out ^= sign
+        out -= sign
+    return saturate_raw(out, dst.raw_min, dst.raw_max, out=out)
 
 
 class FloatArithmetic:
@@ -321,19 +333,29 @@ class FloatArithmetic:
 
     mul_w = mul_v
 
+    # x + (-0.0) is x for every x, -0.0 included: a pad row adds nothing
+    pad = -0.0
+    # weight rows add to voltages as they are
+    rows_in_v_format = True
+
     def saturate_v(self, v: np.ndarray) -> None:
         pass
 
+    def w_to_v(self, rows: np.ndarray) -> np.ndarray:
+        return rows
+
     def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
-        """``v += rows[0]; v += rows[1]; ...`` in place, in that order."""
-        stack = np.concatenate((v[None], rows))
-        if v.size == 1:
+        """``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in place, in that
+        order, for every lane b of the ``(lanes, n)`` voltages; 1-D
+        voltages and 2-D rows are one lane."""
+        stack = np.concatenate((v[..., None, :], rows), axis=-2)
+        if v.shape[-1] == 1:
             # a reduction over a lone column would run pairwise; a
             # cumulative sum always adds row after row
-            v[:] = np.cumsum(stack, axis=0)[-1]
+            v[...] = np.cumsum(stack, axis=-2)[..., -1, :]
         else:
             # down the rows of a C-ordered stack numpy adds row after row
-            v[:] = np.add.reduce(stack, axis=0)
+            np.add.reduce(stack, axis=-2, out=v)
 
     def repeated_sums(self, amount: float, n: int) -> np.ndarray:
         """``sums[m]``: ``amount`` added m times in sequence to zero, m = 0..n."""
@@ -372,20 +394,36 @@ class FixedArithmetic:
     def mul_w(self, x: np.ndarray, coef: int) -> np.ndarray:
         return trunc_shift_raw(x * coef, self.w_shift)
 
+    # a saturating add of zero leaves a value in range as it is
+    pad = 0
+    rows_in_v_format = False
+
     def saturate_v(self, v: np.ndarray) -> None:
-        np.clip(v, self.v_min, self.v_max, out=v)
+        saturate_raw(v, self.v_min, self.v_max, out=v)
+
+    def w_to_v(self, rows: np.ndarray) -> np.ndarray:
+        """Weight mantissas re-quantized to the voltage format."""
+        return convert_raw_array(rows, self.w_format, self.v_format)
 
     def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
-        """Saturating ``v += rows[0]; v += rows[1]; ...`` in place; the
-        weight rows are converted to the voltage format first."""
-        add = convert_raw_array(rows, self.w_format, self.v_format)
-        prefix = np.cumsum(np.concatenate((v[None], add)), axis=0)
-        # no prefix out of range means no add saturated
+        """Saturating ``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in
+        place, for every lane b of the ``(lanes, n)`` voltages, or of 1-D
+        voltages as one lane; the rows are in the voltage format
+        (``w_to_v``)."""
+        # int64 sums are exact, so prefix k is v + rows[0] + ... + rows[k]
+        prefix = np.cumsum(rows, axis=-2)
+        prefix += v[..., None, :]
+        # no prefix out of range means no add of that lane saturated; a lane
+        # that saturated adds its rows again one at a time
         if prefix.min() < self.v_min or prefix.max() > self.v_max:
-            for row in add:
-                np.clip(v + row, self.v_min, self.v_max, out=v)
-        else:
-            v[:] = prefix[-1]
+            lanes = prefix.reshape(-1, *rows.shape[-2:])
+            over = ((lanes < self.v_min) | (lanes > self.v_max)).any(axis=(1, 2))
+            for lane in np.flatnonzero(over):
+                x = lanes[lane, -1]
+                x[:] = v.reshape(len(lanes), -1)[lane]
+                for row in rows.reshape(lanes.shape)[lane]:
+                    saturate_raw(x + row, self.v_min, self.v_max, out=x)
+        v[...] = prefix[..., -1, :]
 
     def repeated_sums(self, amount: int, n: int) -> np.ndarray:
         # saturating adds of a nonnegative amount sum to min(total, top), so

@@ -146,25 +146,39 @@ def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
     return store.arith.repeated_sums(store.arith.voltage(w_inh), store.n_exc)
 
 
-def queue_inhibition(store: StateStore, fired: np.ndarray, credit: np.ndarray) -> None:
+def queue_inhibition(store: StateStore, fired: np.ndarray, credit: np.ndarray,
+                     pending: np.ndarray | None = None) -> None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
-    except the firing one, once per firing neuron; ``fired`` is an array of
-    the distinct ids that fired. Applied and cleared by the next leak
-    phase. ``credit`` is ``inhibition_credit(store, w_inh)``.
+    except the firing one, once per firing neuron of the same lane. Applied
+    and cleared by the next leak phase. ``credit`` is
+    ``inhibition_credit(store, w_inh)``; ``pending`` is a ``(lanes,
+    n_exc)`` array, or by default the store's own as one lane; ``fired``
+    holds the flat indices ``lane * n_exc + id`` of the distinct neurons
+    that fired, which with one lane are their ids.
 
-    Closed form of the per-neuron loop: with k distinct neurons firing,
-    every other neuron is credited k times and each firing one k - 1
-    times, and each gets ``credit[k]`` or ``credit[k - 1]`` added.
-    Fixed-point pending saturates at the format top. Float credits equal
-    the sequential loop's when ``pending`` holds no inhibition yet, which
-    is so at fire time, right after the leak cleared it.
+    Closed form of the per-neuron loop: with k distinct neurons firing in a
+    lane, every other neuron of the lane is credited k times and each
+    firing one k - 1 times, and each gets ``credit[k]`` or
+    ``credit[k - 1]`` added. Fixed-point pending saturates at the format
+    top. Float credits equal the sequential loop's when ``pending`` holds no
+    inhibition yet, which is so at fire time, right after the leak cleared
+    it.
     """
-    k = fired.size
-    if k:
-        add = np.full(store.n_exc, credit[k])
-        add[fired] = credit[k - 1]
-        store.pending += add
-        store.arith.saturate_v(store.pending)
+    if pending is None:
+        pending = store.pending
+    if not fired.size:
+        return
+    if pending.ndim == 1:
+        add = np.full(store.n_exc, credit[fired.size])
+        add[fired] = credit[fired.size - 1]
+    else:
+        lane = fired // store.n_exc
+        k = np.bincount(lane, minlength=len(pending))
+        add = np.repeat(credit[k], store.n_exc)
+        add[fired] = credit[k[lane] - 1]
+        add = add.reshape(pending.shape)
+    pending += add
+    store.arith.saturate_v(pending)
 
 
 def reset_for_sample(store: StateStore) -> None:

@@ -1,5 +1,6 @@
 """Test-only oracles: closed-form references the engine's iterative
-update rules are checked against. Nothing in ``aersnn`` calls them."""
+update rules are checked against, and the one-stream-at-a-time reference
+for the engine's lanes. Nothing in ``aersnn`` calls them."""
 
 from __future__ import annotations
 
@@ -59,3 +60,18 @@ def exp_decay_reference(x0: float, t: float, tau: float) -> float:
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return x0 * math.exp(-t / tau)
+
+
+def run_one_by_one(engine, streams, stop_ts: int) -> list:
+    """Reference for ``EventEngine.run_lanes``: each stream through ``run``
+    alone, the store's voltages, traces and pending inhibition reset
+    before each to what they held at the call. The store ends as the last
+    stream left it."""
+    store = engine.store
+    start = [a.copy() for a in store.arrays()[1:]]
+    results = []
+    for packets in streams:
+        for state, saved in zip(store.arrays()[1:], start):
+            state[:] = saved
+        results.append(engine.run(packets, stop_ts))
+    return results

@@ -364,3 +364,74 @@ def test_interrupted_artifact_write_leaves_old_file(tmp_path):
         _write_lines(target, lines())
     assert target.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def _train_with_config(tmp, cfg, extra):
+    other = tmp / "other.cfg"
+    other.write_text(cfg.read_text() + extra)
+    return ["train", "--config", other, "--out", tmp / "x"]
+
+
+def _eval_with_config(tmp, cfg, extra):
+    assert run_cli("train", "--config", cfg, "--out", tmp / "out") == 0
+    other = tmp / "other.cfg"
+    other.write_text(cfg.read_text() + extra)
+    return ["eval", "--config", other, "--checkpoint", tmp / "out" / "checkpoint.aern",
+            "--out", tmp / "x"]
+
+
+def _sweep(param, values, extra=""):
+    def build(tmp, cfg):
+        other = tmp / "other.cfg"
+        other.write_text(cfg.read_text() + extra)
+        return ["sweep", param, values, "--config", other, "--out", tmp / "x"]
+    return build
+
+
+# name: argv builder of a command that must exit 1 before it writes to x
+REJECTED_UP_FRONT = {
+    "train-eval-samples-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "eval.samples = 0\n"),
+    "eval-eval-samples-zero": lambda tmp, cfg: _eval_with_config(
+        tmp, cfg, "eval.samples = 0\n"),
+    "sweep-eval-samples-zero": _sweep("v_thresh", "4.0", "eval.samples = 0\n"),
+    "sweep-n-exc-zero": _sweep("n_exc", "4,0"),
+    "sweep-timesteps-negative": _sweep("timesteps", "12,-3"),
+    "sweep-batch-size-zero": _sweep("batch_size", "2,0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_UP_FRONT))
+def test_rejected_up_front_with_one_line(workspace, capsys, name):
+    tmp, cfg = workspace
+    argv = REJECTED_UP_FRONT[name](tmp, cfg)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not (tmp / "x").exists()
+
+
+# sha256 of the artifacts of train on 20 test samples, so that label and eval
+# run frozen samples in lanes of 16 and 4; recorded from the engine that ran
+# one sample per call
+LANE_TRAIN_DIGESTS = {
+    "activations.csv": "ec52b644177c591fe09a645a6d7f1b8ce0f6f09f212672bb09c9652c50cde5e8",
+    "checkpoint.aern": "b2b1611a267661ea2dccceb1d9d7cd27d125aeac7f797d4c7db46d5c0cb173df",
+    "labels.json": "342acbbfe8c182b16e6ac6b2c4f443abeea20b980c89acb8c2f738eb863832dd",
+    "metrics.jsonl": "e96cbf5469daea91667896f8e336eb1b79e315bc94ef0493f3c3fc03e3a59d78",
+}
+
+
+def test_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    make_idx_digit_dir(tmp_path / "mnist", n_train=12, n_test=20, seed=1)
+    (tmp_path / "run.cfg").write_text(
+        TINY_CFG.replace("eval.samples = 6", "eval.samples = -1")
+        + "data.mnist_dir = mnist\nengine.log_activations = true\n")
+    assert run_cli("train", "--config", "run.cfg", "--out", "out") == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in LANE_TRAIN_DIGESTS}
+    assert digests == LANE_TRAIN_DIGESTS

@@ -1,0 +1,207 @@
+"""``EventEngine.run_lanes`` against its reference, the streams run one by
+one through ``run`` (``oracles.run_one_by_one``): per-lane outputs, step
+records and stats, the final store and the error a failing call raises.
+Label and eval run frozen samples in lanes, so they are checked against
+the reference too."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aersnn import evaluator
+from aersnn.config import RunConfig
+from aersnn.dynamics import LifParams
+from aersnn.encoders import Sample
+from aersnn.event_engine import EventEngine, FifoOverflowError, ProtocolError, packet_array
+from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate
+from aersnn.topology import store_to_bytes
+
+from conftest import make_engine
+from oracles import run_one_by_one
+from test_engine_pins import NARROW_LIF, Q3_8, Q8_8, REST_LIF, grid_stream, messy_stream
+
+# a rest of -0.0 and weights that hold -0.0: a voltage can stay -0.0, which
+# adding a +0.0 pad row would turn into +0.0
+SIGNED_ZERO_LIF = LifParams(v_rest=-0.0, v_thresh=1.0, tau_v=100.0, dt=1.0)
+
+CASES = {
+    "float": dict(),
+    "float-rest-below-zero": dict(lif=REST_LIF),
+    "float-signed-zeros": dict(lif=SIGNED_ZERO_LIF, weights=(-0.0, 0.0, -0.0, 0.5)),
+    "q8.8": dict(numeric=Q8_8),
+    "q8.8-rest-below-zero": dict(numeric=Q8_8, lif=REST_LIF),
+    "q3.8-rails": dict(numeric=Q3_8, lif=NARROW_LIF, w_inh=1.5),
+}
+
+
+def frozen_engine(case, n_input, n_exc, seed=11, **kwargs):
+    kwargs = dict(CASES[case], **kwargs)
+    values = kwargs.pop("weights", None)
+    if values is not None:
+        picks = np.random.default_rng(seed).integers(0, len(values), (n_input, n_exc))
+        kwargs["weights"] = np.array(values)[picks]
+    return make_engine(n_input=n_input, n_exc=n_exc, seed=seed, learning=False, **kwargs)
+
+
+def stream(kind, seed, steps, n_input, rate):
+    if kind == "empty" or steps == 0:
+        return packet_array([], [])
+    if kind == "grid":
+        return packet_array(*grid_stream(seed, steps, n_input, rate))
+    return packet_array(*messy_stream(seed, steps, n_input))
+
+
+def state_bytes(engine):
+    return store_to_bytes(engine.store)
+
+
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for lane, (g, w) in enumerate(zip(got, want)):
+        assert g.outputs.tobytes() == w.outputs.tobytes(), f"lane {lane} outputs"
+        assert g.steps.tobytes() == w.steps.tobytes(), f"lane {lane} steps"
+        assert g.stats == w.stats, f"lane {lane} stats"
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    n_input=st.integers(1, 12),
+    n_exc=st.integers(1, 6),
+    lanes=st.lists(st.tuples(st.sampled_from(["grid", "messy", "empty"]),
+                             st.integers(0, 2**16), st.integers(0, 24),
+                             st.floats(0.05, 0.9)),
+                   min_size=1, max_size=17),
+    tail=st.integers(0, 3),
+    warm=st.booleans(),
+)
+def test_lanes_match_streams_run_one_by_one(case, n_input, n_exc, lanes, tail, warm):
+    streams = [stream(kind, seed, steps, n_input, rate) for kind, seed, steps, rate in lanes]
+    stop_ts = max(steps for _, _, steps, _ in lanes) + tail
+    engines = [frozen_engine(case, n_input, n_exc) for _ in range(2)]
+    if warm:
+        # start the lanes from a state off rest: voltages, traces, pending
+        for engine in engines:
+            engine.run(stream("messy", 1, 6, n_input, 0.5), stop_ts=6)
+    got = engines[0].run_lanes(streams, stop_ts)
+    want = run_one_by_one(engines[1], streams, stop_ts)
+    assert_same_runs(got, want)
+    assert state_bytes(engines[0]) == state_bytes(engines[1])
+    assert engines[0].steps.tobytes() == engines[1].steps.tobytes()
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3, 17])
+def test_saturating_and_quiet_lanes_together(n_lanes):
+    # dense lanes hit the q3.8 voltage rails and fall back to sequential
+    # saturating adds; sparse lanes beside them take the cumulative sum
+    streams = [stream("grid", lane, 40, 16, 0.9 if lane % 2 else 0.1) for lane in range(n_lanes)]
+    engines = [frozen_engine("q3.8-rails", 16, 5) for _ in range(2)]
+    assert_same_runs(engines[0].run_lanes(streams, 42), run_one_by_one(engines[1], streams, 42))
+    assert state_bytes(engines[0]) == state_bytes(engines[1])
+
+
+# input 0 drives all three neurons over threshold in one step, input 1 only
+# neuron 0: an output FIFO of one packet overflows on input 0 alone
+OVERFLOW_WEIGHTS = [[2.0, 2.0, 2.0], [2.0, 0.0, 0.0]]
+
+
+def overflow_error(streams):
+    """The overflow messages of the lanes and of the streams run one by
+    one."""
+    outcomes = []
+    for runner in (lambda e: e.run_lanes(streams, 12),
+                   lambda e: run_one_by_one(e, streams, 12)):
+        engine = make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.0,
+                             learning=False, fifo_capacity=1)
+        with pytest.raises(FifoOverflowError) as info:
+            runner(engine)
+        outcomes.append(str(info.value))
+    return outcomes
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("overflow_at", [
+        (None, 9, 2),  # lane 2 overflows first in time, lane 1 is the lowest
+        (7, 9, 2),     # lane 0 overflows after the lanes above it
+        (None, None, 5),
+        (3, None, None),
+    ])
+    def test_fifo_overflow_raises_for_the_lowest_overflowing_lane(self, overflow_at):
+        streams = [packet_array([1, 0], [1, t]) if t is not None else packet_array([1], [1])
+                   for t in overflow_at]
+        lanes, one_by_one = overflow_error(streams)
+        assert lanes == one_by_one
+        lowest = next(t for t in overflow_at if t is not None)
+        assert lanes == f"3 neurons fired at step {lowest}, output FIFO holds 1"
+
+    def test_bad_stream_raises_before_any_state_changes(self):
+        engine = make_engine(n_input=4, n_exc=3, learning=False)
+        engine.run(packet_array([0, 1, 2], [0, 1, 1]), stop_ts=3)
+        before = state_bytes(engine)
+        backwards = packet_array([0, 1], [4, 2])
+        late = packet_array([2], [9])
+        streams = [packet_array([0, 3], [0, 5]), backwards, late]
+        with pytest.raises(ProtocolError) as info:
+            engine.run_lanes(streams, stop_ts=8)
+        assert state_bytes(engine) == before
+        with pytest.raises(ProtocolError) as alone:
+            engine.run(backwards, stop_ts=8)
+        assert str(info.value) == str(alone.value)
+
+    def test_learning_runs_one_lane_only(self):
+        engine = make_engine(n_input=4, n_exc=3)
+        before = state_bytes(engine)
+        streams = [packet_array([0], [0]), packet_array([1], [0])]
+        with pytest.raises(ValueError, match="one lane"):
+            engine.run_lanes(streams, stop_ts=2)
+        assert state_bytes(engine) == before
+        assert len(engine.run_lanes(streams[:1], stop_ts=2)) == 1
+
+
+def lane_config(mode):
+    return RunConfig(n_input=24, n_exc=10, w_inh=0.3, v_thresh=1.5, timesteps=30,
+                     max_rate=0.3, n_classes=3, mode=mode, seed=9)
+
+
+def lane_samples(n, n_input=24, seed=2):
+    rng = np.random.default_rng(seed)
+    return [Sample(features=rng.random(n_input), label=k % 3) for k in range(n)]
+
+
+def label_and_eval(cfg, samples, monkeypatch, reference):
+    """Labels, confusion, classified counts, last step record and store of
+    a label and an eval pass, with lanes or with the reference."""
+    engine = build_engine(cfg)
+    if reference:
+        def one_by_one(streams, stop_ts):
+            # run, which the reference calls, runs its one stream as one lane
+            if len(streams) == 1:
+                return EventEngine.run_lanes(engine, streams, stop_ts)
+            return run_one_by_one(engine, streams, stop_ts)
+
+        monkeypatch.setattr(engine, "run_lanes", one_by_one)
+    counts = []
+    classify = evaluator.classify
+
+    def recording_classify(c, labels):
+        counts.append(c.tobytes())
+        return classify(c, labels)
+
+    monkeypatch.setattr(evaluator, "classify", recording_classify)
+    labels = assign_labels(engine, samples, cfg, cfg.resolved_n_classes())
+    metrics = evaluate(engine, labels, samples[::-1], cfg)
+    monkeypatch.undo()
+    return (labels.to_dict(), metrics.confusion.tolist(), counts,
+            engine.steps.tobytes(), state_bytes(engine))
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("n", [1, LANES, LANES + 1, 2 * LANES + 1])
+def test_label_and_eval_match_the_reference(mode, n, monkeypatch):
+    cfg = lane_config(mode)
+    samples = lane_samples(n)
+    got = label_and_eval(cfg, samples, monkeypatch, reference=False)
+    assert got == label_and_eval(cfg, samples, monkeypatch, reference=True)
+    assert len(got[2]) == n
+
