@@ -14,6 +14,7 @@ for the train/label/eval phases, dataset splitting).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -223,6 +224,14 @@ _KEY_MAP = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        # nan fails every comparison, so no range check would refuse it
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_value(key: str, name: str, text: str):
     ftype = _FIELD_TYPES[name]
     text = text.strip()
@@ -230,7 +239,7 @@ def _parse_value(key: str, name: str, text: str):
         if ftype == "int":
             return int(text)
         if ftype == "float":
-            return float(text)
+            return _finite(text)
         if ftype == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
@@ -240,7 +249,7 @@ def _parse_value(key: str, name: str, text: str):
         if ftype == "float | None":
             if text.lower() in ("auto", "none", ""):
                 return None
-            return float(text)
+            return _finite(text)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc

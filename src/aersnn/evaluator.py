@@ -12,11 +12,14 @@ Training, labeling and evaluation run each sample from rest through one
 driver, which encodes sample ``idx`` with ``derive_seed(cfg.seed, *stream,
 idx)`` for the stream ``(STREAM_TRAIN, epoch)``, ``(STREAM_LABEL,)`` or
 ``(STREAM_EVAL,)``. Every pass restores ``engine.learning`` when it ends or
-raises; labeling and evaluation run with learning off. A learning pass
-runs one sample per engine run. A frozen pass runs chunks of up to
-``LANES`` samples in lockstep lanes of one ``run_lanes``, each lane from
-the reset store; no sample's result depends on its chunk, and the store
-ends in the last sample's state, as one sample per run leaves it. A FIFO
+raises; labeling and evaluation run with learning off. A frozen pass
+runs chunks of up to ``LANES`` samples in lockstep lanes of one
+``run_lanes``, each lane from the reset store; no sample's result depends
+on its chunk, and the store ends in the last sample's state, as one
+sample per run leaves it. A learning pass does the same within each batch
+of ``batch_size`` samples when the engine ``learns_in_lanes`` (fixed-mode
+batches: the weights are frozen until the batch's flush and the deltas
+sum exactly), and otherwise runs one sample per engine run. A FIFO
 overflow raises for the first sample that overflows.
 
 ``run_experiment`` is the one train/label/evaluate pipeline shared by the
@@ -26,6 +29,7 @@ CLI commands and the hyperparameter sweeps.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -157,24 +161,32 @@ def _run_samples(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
                  stream: tuple[int, ...], *, learning: bool) -> Iterator[tuple]:
     """Yield each sample, its ``RunResult`` and its spike count per
     excitatory neuron, run with ``engine.learning`` set to ``learning``.
-    A learning pass runs one sample per ``run``; a frozen pass runs up to
-    ``LANES`` samples per ``run_lanes``, each from the reset store."""
+    A pass runs up to ``LANES`` samples per ``run_lanes``, each from the
+    reset store; a learning chunk stays inside one batch of
+    ``cfg.batch_size`` samples, and a learning pass whose engine does not
+    learn in lanes runs one sample per ``run``."""
     was_learning = engine.learning
     engine.learning = learning
-    width = 1 if learning else LANES
+    width = LANES if not learning or engine.learns_in_lanes else 1
+    # the consumer flushes a batch after its last sample, before the next
+    # chunk runs; a frozen pass has no batches
+    batch = cfg.batch_size if learning else LANES
     try:
-        for start in range(0, len(samples), width):
-            chunk = samples[start:start + width]
-            reset_for_sample(engine.store)
-            seeds = (derive_seed(cfg.seed, *stream, idx) for idx in range(start, start + width))
-            streams = [poisson_encode(sample, cfg.encoder_params(seed))
-                       for sample, seed in zip(chunk, seeds)]
-            if learning:
-                runs = [engine.run(streams[0], stop_ts=cfg.timesteps)]
-            else:
-                runs = engine.run_lanes(streams, stop_ts=cfg.timesteps)
-            for sample, run in zip(chunk, runs):
-                yield sample, run, np.bincount(run.outputs.neuron_id, minlength=engine.store.n_exc)
+        for first in range(0, len(samples), batch):
+            for start in range(first, min(first + batch, len(samples)), width):
+                chunk = samples[start:min(start + width, first + batch)]
+                reset_for_sample(engine.store)
+                seeds = [derive_seed(cfg.seed, *stream, idx)
+                         for idx in range(start, start + len(chunk))]
+                streams = [poisson_encode(sample, cfg.encoder_params(seed))
+                           for sample, seed in zip(chunk, seeds)]
+                if width == 1:
+                    runs = [engine.run(streams[0], stop_ts=cfg.timesteps)]
+                else:
+                    runs = engine.run_lanes(streams, stop_ts=cfg.timesteps)
+                for sample, run in zip(chunk, runs):
+                    yield sample, run, np.bincount(run.outputs.neuron_id,
+                                                   minlength=engine.store.n_exc)
     finally:
         engine.learning = was_learning
 
@@ -290,13 +302,19 @@ def sweep(param: str, values, cfg: RunConfig, train_samples: list[Sample],
         raise ValueError(
             f"unknown sweep parameter {param!r}, expected one of {SWEEPABLE_PARAMS}"
         )
-    cast = int if param in ("n_exc", "batch_size", "timesteps") else float
-    configs = [cfg.with_value(param, cast(value)) for value in values]
-    for value, run_cfg in zip(values, configs):
+    integer = param in ("n_exc", "batch_size", "timesteps")
+    configs = []
+    for value in values:
         try:
+            if not math.isfinite(value):
+                raise ConfigError(f"{param} must be finite")
+            if integer and not float(value).is_integer():
+                raise ConfigError(f"{param} must be an integer")
+            run_cfg = cfg.with_value(param, int(value) if integer else float(value))
             run_cfg.validate()
         except ConfigError as exc:
             raise ConfigError(f"sweep {param} = {value}: {exc}") from exc
+        configs.append(run_cfg)
     points = []
     for value, run_cfg in zip(values, configs):
         started = time.perf_counter()

@@ -32,10 +32,16 @@ one-lane case. The handlers act on lane state, ``(lanes, n)`` voltages,
 traces and pending inhibition; outside a run, and in a one-lane run, that
 is the store's own arrays. Every lane starts from the store's state at
 the call and the last lane's end state is written back, so lanes equal
-the streams run one by one through ``run`` from that state. Learning runs
-one lane only. Every stream is checked before any state changes, the
-lowest bad lane raising; a FIFO overflow raises for the lowest lane that
-overflows, as run one by one it would come first.
+the streams run one by one through ``run`` from that state. A learning
+run takes more than one lane only when its updates accumulate and the
+store's arithmetic sums them exactly (``learns_in_lanes``: fixed mode):
+the lanes then read the same frozen weights and add their depressions and
+potentiations into one delta buffer, lane after lane, where int64 adds
+give the same sums in any order. Float deltas would round differently in
+another order, so a float learning run, and one that updates the live
+weights, runs one lane. Every stream is checked before any state
+changes, the lowest bad lane raising; a FIFO overflow raises for the
+lowest lane that overflows, as run one by one it would come first.
 
 The run owns its streams, as the controller does in hardware: once per
 call it drops the ids outside the input layer, and splits the ids of a
@@ -54,11 +60,13 @@ numeric modes, because:
 * the voltage sum adds the rows ``v, w[i1], w[i2], ...`` one at a time, in
   stream order: a reduction down the rows of a C-ordered stack, or a
   cumulative sum, never regroups them;
-* with learning off the weights are frozen, so a run reads its rows from
-  one C-ordered copy, converted once to the voltage format in fixed mode.
-  A lane with fewer ids in a run reads the pad id ``n_input``, whose row
-  adds nothing: ``x + (-0.0)`` is ``x`` for every float, -0.0 included,
-  and a saturating add of 0 leaves a fixed value as it is;
+* with learning off, or with the updates accumulating, the weights are
+  frozen within a run, so it reads its rows from one C-ordered copy,
+  converted once to the voltage format in fixed mode. A lane with fewer
+  ids in a run reads the pad id ``n_input``, whose row adds nothing:
+  ``x + (-0.0)`` is ``x`` for every float, -0.0 included, and a
+  saturating add of 0 leaves a fixed value as it is. Pad ids are left
+  out of the depressions;
 * the post-synaptic traces do not change within integrate, so every row
   gets the same depression: it is subtracted from the rows already
   gathered for the voltage sum, which are clipped in place and scattered
@@ -316,7 +324,9 @@ class EventEngine:
     bit-identical). With ``accumulate_updates`` the depression and
     potentiation amounts collect in a side buffer instead of the live
     weights until ``apply_accumulated_updates`` is called, which is how
-    multi-sample learning batches are realized.
+    multi-sample learning batches are realized. Then the weights stay
+    frozen within a batch, and where the arithmetic sums exactly (fixed
+    mode) the samples of a batch may learn in lanes of one ``run_lanes``.
     """
 
     def __init__(
@@ -397,20 +407,27 @@ class EventEngine:
         if self._frozen is not None:
             ar.add_rows(self._v, self._frozen[ids])
             bumped = (ids + self._ix_offset).reshape(-1)
-            count = np.count_nonzero(ids < self.store.n_input)
+            real = ids < self.store.n_input
+            count = np.count_nonzero(real)
         else:
-            # live weights: one lane, as learning runs one lane at a time
+            # the store's rows as they are: one lane
             store, bumped = self.store, ids
             rows = store.w[bumped]
             ar.add_rows(self._v, ar.w_to_v(rows))
-            if self.learning:
-                drop = ar.mul_w(self._ex, self._a_post)
-                if self._w_delta is not None:
-                    self._w_delta[bumped] -= drop
-                else:
-                    rows -= drop
-                    store.w[bumped] = np.clip(rows, self._w_min, self._w_max, out=rows)
             count = bumped.size
+        if self.learning:
+            drop = ar.mul_w(self._ex, self._a_post)
+            if self._w_delta is None:
+                # live weights are never copied, so the rows were gathered above
+                rows -= drop
+                store.w[bumped] = np.clip(rows, self._w_min, self._w_max, out=rows)
+            elif ids.ndim == 1:
+                self._w_delta[ids] -= drop
+            else:
+                # a lane's ids are distinct, but lanes share ids: lane by
+                # lane, without the pad ids, which have no row
+                for lane_ids, lane_real, lane_drop in zip(ids, real, drop):
+                    self._w_delta[lane_ids[lane_real]] -= lane_drop
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
         ix = self._ixf
@@ -444,7 +461,16 @@ class EventEngine:
                 self._overflows.setdefault(lane, error)
         if fired.size:
             if self.learning:
-                self._potentiate(fired, self.arith.mul_w(self._ix, self._a_pre)[:, None])
+                gain = self.arith.mul_w(self._ix, self._a_pre)
+                if gain.ndim == 1:
+                    self._potentiate(fired, gain[:, None])
+                else:
+                    # lane by lane, each its fired ids and its input traces
+                    n_exc = self.store.n_exc
+                    ends = np.searchsorted(fired, np.arange(0, v.size + 1, n_exc)).tolist()
+                    for lane, (lo, hi) in enumerate(zip(ends, ends[1:])):
+                        if hi > lo:
+                            self._potentiate(fired[lo:hi] - lane * n_exc, gain[lane, :-1, None])
             v[fired] = self._rest
             ex = self._exf
             ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
@@ -467,6 +493,14 @@ class EventEngine:
         if not one_range:
             target[:, fired] = cols
 
+    @property
+    def learns_in_lanes(self) -> bool:
+        """Whether a learning run takes more than one stream: the updates
+        collect in ``_w_delta``, so the weights the lanes read stay frozen,
+        and the arithmetic sums them exactly, so lanes may add them in
+        another order than the streams run one by one."""
+        return self._w_delta is not None and self.arith.exact_sums
+
     def apply_accumulated_updates(self) -> None:
         """Fold the batched weight deltas into the live weights (clamped)."""
         if self._w_delta is None:
@@ -487,10 +521,12 @@ class EventEngine:
     def run_lanes(self, streams: list, stop_ts: int) -> list[RunResult]:
         """``run`` each packet array of ``streams`` in a lane of its own,
         all lanes advancing one timestep together; returns one result per
-        stream. Learning on and more than one stream raise ``ValueError``."""
+        stream. Learning on and more than one stream raise ``ValueError``
+        unless the engine ``learns_in_lanes``."""
         n_lanes = len(streams)
-        if self.learning and n_lanes > 1:
-            raise ValueError(f"learning runs one lane at a time, got {n_lanes} streams")
+        if self.learning and n_lanes > 1 and not self.learns_in_lanes:
+            raise ValueError("learning runs one lane at a time unless updates accumulate "
+                             f"and sum exactly, got {n_lanes} streams")
         if not n_lanes:
             return []
         store, ar = self.store, self.arith
@@ -501,9 +537,11 @@ class EventEngine:
             # one more input trace per lane takes the pad id's bumps
             state[2] = np.pad(state[2], ((0, 0), (0, 1)))
             self._bind(*state)
-        # pads need the pad row of a copy, and fixed rows a conversion; one
-        # float lane integrates the live rows as they are
-        if not self.learning and (n_lanes > 1 or not ar.rows_in_v_format):
+        # weights a run does not change are read from a copy: pads need its
+        # pad row, and fixed rows a conversion; one float lane integrates the
+        # store's rows as they are
+        frozen = not self.learning or self._w_delta is not None
+        if frozen and (n_lanes > 1 or not ar.rows_in_v_format):
             self._frozen = np.full((store.n_input + 1, store.n_exc), ar.pad, dtype=ar.dtype)
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):
@@ -527,12 +565,14 @@ class EventEngine:
 
         sizes = [f.size for f in fired_per_step]
         fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
-        f_ts = np.repeat(np.arange(stop_ts), sizes)
+        del fired_per_step  # the lanes' packets can be many: hold them once
+        f_ts = np.repeat(np.arange(stop_ts, dtype=np.uint32), sizes)
         if n_lanes == 1:
             steps["fired"], outputs = sizes, [packet_array(fired, f_ts)]
         else:
-            f_lane, f_id = np.divmod(fired, store.n_exc)
-            outputs = [packet_array(f_id[f_lane == lane], f_ts[f_lane == lane])
+            f_lane = fired // store.n_exc
+            fired %= store.n_exc
+            outputs = [packet_array(fired[f_lane == lane], f_ts[f_lane == lane])
                        for lane in range(n_lanes)]
             steps["fired"] = [np.bincount(out.timestamp, minlength=stop_ts) for out in outputs]
         results = [RunResult(outputs=out, stats=EngineStats.from_steps(rec), steps=rec)

@@ -337,6 +337,8 @@ class FloatArithmetic:
     pad = -0.0
     # weight rows add to voltages as they are
     rows_in_v_format = True
+    # sums depend on their order, so batched deltas add in stream order
+    exact_sums = False
 
     def saturate_v(self, v: np.ndarray) -> None:
         pass
@@ -354,8 +356,10 @@ class FloatArithmetic:
             # cumulative sum always adds row after row
             v[...] = np.cumsum(stack, axis=-2)[..., -1, :]
         else:
-            # down the rows of a C-ordered stack numpy adds row after row
-            np.add.reduce(stack, axis=-2, out=v)
+            # down the rows of a C-ordered stack numpy adds row after row,
+            # to a start of +0.0 unless told otherwise: -0.0 + x is x for
+            # every x, where +0.0 + -0.0 would lose the sign of a zero sum
+            np.add.reduce(stack, axis=-2, out=v, initial=-0.0)
 
     def repeated_sums(self, amount: float, n: int) -> np.ndarray:
         """``sums[m]``: ``amount`` added m times in sequence to zero, m = 0..n."""
@@ -397,6 +401,8 @@ class FixedArithmetic:
     # a saturating add of zero leaves a value in range as it is
     pad = 0
     rows_in_v_format = False
+    # int64 sums of mantissas are exact: batched deltas add in any order
+    exact_sums = True
 
     def saturate_v(self, v: np.ndarray) -> None:
         saturate_raw(v, self.v_min, self.v_max, out=v)

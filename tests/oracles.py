@@ -1,11 +1,16 @@
 """Test-only oracles: closed-form references the engine's iterative
-update rules are checked against, and the one-stream-at-a-time reference
-for the engine's lanes. Nothing in ``aersnn`` calls them."""
+update rules are checked against, and the one-stream-at-a-time references
+for the engine's lanes and for the training pass that runs them. Nothing
+in ``aersnn`` calls them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from aersnn.config import STREAM_TRAIN, derive_seed
+from aersnn.encoders import poisson_encode
+from aersnn.topology import reset_for_sample
 
 
 @dataclass(frozen=True)
@@ -75,3 +80,24 @@ def run_one_by_one(engine, streams, stop_ts: int) -> list:
             state[:] = saved
         results.append(engine.run(packets, stop_ts))
     return results
+
+
+def train_one_by_one(engine, samples, cfg) -> dict:
+    """Reference for ``evaluator.train_pass``: every epoch runs each sample
+    from the reset store through ``run`` alone, with learning on, and
+    flushes the accumulated deltas after every ``cfg.batch_size`` samples
+    and at the end of the epoch. Returns the same totals."""
+    totals = {"samples": 0, "packets_in": 0, "packets_out": 0}
+    engine.learning = True
+    for epoch in range(cfg.epochs):
+        for idx, sample in enumerate(samples):
+            reset_for_sample(engine.store)
+            seed = derive_seed(cfg.seed, STREAM_TRAIN, epoch, idx)
+            result = engine.run(poisson_encode(sample, cfg.encoder_params(seed)), cfg.timesteps)
+            totals["samples"] += 1
+            totals["packets_in"] += result.stats.packets_in
+            totals["packets_out"] += result.stats.packets_out
+            if (idx + 1) % cfg.batch_size == 0:
+                engine.apply_accumulated_updates()
+        engine.apply_accumulated_updates()
+    return totals

@@ -261,6 +261,19 @@ class TestReplayProtocol:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("protocol error:")
 
+    def test_fifo_overflow_in_lane_training_exit_3(self, workspace, capsys):
+        # fixed-mode batches of 4 train in lanes; the first overflowing
+        # sample ends the run before any artifact is written
+        tmp, cfg = workspace
+        small = tmp / "small_fifo.cfg"
+        small.write_text(cfg.read_text() + "numeric.mode = fixed\nengine.batch_size = 4\n"
+                         "engine.fifo_capacity = 1\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", small, "--out", tmp / "x") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("protocol error:")
+        assert not (tmp / "x").exists()
+
     @pytest.mark.parametrize("cut", [1, 5])
     def test_malformed_trace_exit_2(self, workspace, capsys, cut):
         # a trace cut short of whole 6-byte packets is an IO error, not a crash
@@ -398,6 +411,16 @@ REJECTED_UP_FRONT = {
     "sweep-n-exc-zero": _sweep("n_exc", "4,0"),
     "sweep-timesteps-negative": _sweep("timesteps", "12,-3"),
     "sweep-batch-size-zero": _sweep("batch_size", "2,0"),
+    "sweep-n-exc-fraction": _sweep("n_exc", "2.5,3"),
+    "sweep-n-exc-inf": _sweep("n_exc", "inf"),
+    "sweep-n-exc-nan": _sweep("n_exc", "nan"),
+    "sweep-batch-size-fraction": _sweep("batch_size", "2,1.5"),
+    "sweep-timesteps-minus-inf": _sweep("timesteps", "12,-inf"),
+    "sweep-v-thresh-nan": _sweep("v_thresh", "4.0,nan"),
+    "sweep-v-thresh-inf": _sweep("v_thresh", "inf"),
+    "train-v-thresh-nan": lambda tmp, cfg: _train_with_config(tmp, cfg, "lif.v_thresh = nan\n"),
+    "train-v-floor-minus-inf": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "engine.v_floor = -inf\n"),
 }
 
 
@@ -435,3 +458,51 @@ def test_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                for name in LANE_TRAIN_DIGESTS}
     assert digests == LANE_TRAIN_DIGESTS
+
+
+# sha256 of the artifacts of a fixed-mode train over 2 epochs of 12 samples
+# in batches of 5 (5, 5 and a partial 2), with the rest below zero;
+# recorded from the engine that trained one sample per call
+FIXED_BATCH_TRAIN_DIGESTS = {
+    "activations.csv": "e812796d05a5ae1f539b71400462827c8a13a32331dea3b5e1a2ef5f2090a4f4",
+    "checkpoint.aern": "e07ed974f7da046e9410208958dc55ea0fdcd294d1478732eb9f68b338fc85cb",
+    "labels.json": "137729cacd704f3c1438c7ce2f855abb74a1d5dc58218c82e95d5af18411e8f9",
+    "metrics.jsonl": "3d9b0cf10e1e96d9ae1e796bef84c875cfc872a1e326bc86d26d03bcd911da3c",
+}
+
+
+def test_fixed_batch_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    make_idx_digit_dir(tmp_path / "mnist", n_train=12, n_test=6, seed=1)
+    (tmp_path / "run.cfg").write_text(
+        TINY_CFG.replace("train.samples = 8", "train.samples = -1")
+        + "data.mnist_dir = mnist\nengine.log_activations = true\nnumeric.mode = fixed\n"
+        "engine.batch_size = 5\nlif.v_rest = -0.5\ntrain.epochs = 2\n")
+    assert run_cli("train", "--config", "run.cfg", "--out", "out") == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in FIXED_BATCH_TRAIN_DIGESTS}
+    assert digests == FIXED_BATCH_TRAIN_DIGESTS
+
+
+# sha256 of the artifacts of a sweep of integer values, one written as 4.0;
+# recorded from the sweep that cast them with int()
+SWEEP_DIGESTS = {
+    "metrics.csv": "8ec8e8aa238f02a8753d81c28360d425f49fe61f53a4f4f688a0015c0060ae23",
+    "metrics.jsonl": "be3c2c8686ac4511e06a9449c731bad3d9958259b86de35acec4eee8445acadf",
+}
+
+
+def test_integer_sweep_values_keep_their_artifacts(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    make_idx_digit_dir(tmp_path / "mnist", n_train=12, n_test=6, seed=1)
+    (tmp_path / "run.cfg").write_text(TINY_CFG + "data.mnist_dir = mnist\n")
+    assert run_cli("sweep", "n_exc", "4.0,6", "--config", "run.cfg", "--out", "sw") == 0
+    digests = {name: hashlib.sha256((tmp_path / "sw" / name).read_bytes()).hexdigest()
+               for name in SWEEP_DIGESTS}
+    assert digests == SWEEP_DIGESTS
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["value", "4.0", "6.0"]

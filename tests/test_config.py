@@ -43,6 +43,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("topology.n_exc = many")
 
+    @pytest.mark.parametrize("line", ["lif.v_thresh = nan", "lif.v_thresh = inf",
+                                      "stdp.w_max = NaN", "engine.v_floor = -inf"])
+    def test_non_finite_float_is_an_error(self, line):
+        # nan passes every range check, as it fails every comparison
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(line)
+
     def test_v_floor_auto(self):
         cfg = parse_config("engine.v_floor = auto")
         assert cfg.v_floor is None

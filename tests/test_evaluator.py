@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from aersnn import evaluator
-from aersnn.config import STREAM_TRAIN, RunConfig, derive_seed
-from aersnn.encoders import Sample, poisson_encode
+from aersnn.config import RunConfig
+from aersnn.encoders import Sample
 from aersnn.evaluator import (
     Metrics,
     NeuronLabels,
@@ -15,7 +15,9 @@ from aersnn.evaluator import (
     sweep,
     train_pass,
 )
-from aersnn.topology import reset_for_sample, store_to_bytes
+from aersnn.topology import store_to_bytes
+
+from oracles import train_one_by_one
 
 
 def detector_config(**overrides):
@@ -175,24 +177,6 @@ def random_samples(n, n_input=5, seed=4):
     return [Sample(features=rng.random(n_input), label=k % 2) for k in range(n)]
 
 
-def train_by_hand(engine, samples, cfg, flush_after=()):
-    """``train_pass`` written out: sample ``idx`` of epoch ``e`` is encoded
-    with the seed of (STREAM_TRAIN, e, idx), and the accumulated updates
-    are applied after each sample number in ``flush_after``."""
-    packets_in = packets_out = 0
-    for epoch in range(cfg.epochs):
-        for n, sample in enumerate(samples, 1):
-            reset_for_sample(engine.store)
-            seed = derive_seed(cfg.seed, STREAM_TRAIN, epoch, n - 1)
-            result = engine.run(poisson_encode(sample, cfg.encoder_params(seed)),
-                                stop_ts=cfg.timesteps)
-            packets_in += result.stats.packets_in
-            packets_out += result.stats.packets_out
-            if n in flush_after:
-                engine.apply_accumulated_updates()
-    return packets_in, packets_out
-
-
 class TestTrainPass:
     def learning_config(self, **overrides):
         return detector_config(n_input=5, n_exc=3, max_rate=0.6, epochs=2, **overrides)
@@ -202,9 +186,8 @@ class TestTrainPass:
         samples = random_samples(5)
         engine, by_hand = build_engine(cfg), build_engine(cfg)
         totals = train_pass(engine, samples, cfg)
-        packets_in, packets_out = train_by_hand(by_hand, samples, cfg)
-        assert totals == {"samples": 10, "packets_in": packets_in, "packets_out": packets_out}
-        assert packets_out > 0
+        assert totals == train_one_by_one(by_hand, samples, cfg)
+        assert totals["samples"] == 10 and totals["packets_out"] > 0
         assert store_to_bytes(engine.store) == store_to_bytes(by_hand.store)
 
     def test_batches_flush_every_batch_size_samples_and_at_epoch_end(self):
@@ -213,7 +196,7 @@ class TestTrainPass:
         engine, by_hand = build_engine(cfg), build_engine(cfg)
         initial = engine.store.w.copy()
         train_pass(engine, samples, cfg)
-        train_by_hand(by_hand, samples, cfg, flush_after=(3, 6, 7))
+        train_one_by_one(by_hand, samples, cfg)  # flushes after samples 3, 6 and 7
         assert not np.array_equal(engine.store.w, initial)
         assert store_to_bytes(engine.store) == store_to_bytes(by_hand.store)
 

@@ -1,12 +1,13 @@
 """``EventEngine.run_lanes`` against its reference, the streams run one by
 one through ``run`` (``oracles.run_one_by_one``): per-lane outputs, step
-records and stats, the final store and the error a failing call raises.
-Label and eval run frozen samples in lanes, so they are checked against
-the reference too."""
+records and stats, the final store, the batched weight deltas and the
+error a failing call raises. Label and eval run frozen samples in lanes,
+and fixed-mode training runs the samples of a batch in lanes, so they are
+checked against their references too."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aersnn import evaluator
@@ -14,11 +15,11 @@ from aersnn.config import RunConfig
 from aersnn.dynamics import LifParams
 from aersnn.encoders import Sample
 from aersnn.event_engine import EventEngine, FifoOverflowError, ProtocolError, packet_array
-from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate
+from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
 from aersnn.topology import store_to_bytes
 
 from conftest import make_engine
-from oracles import run_one_by_one
+from oracles import run_one_by_one, train_one_by_one
 from test_engine_pins import NARROW_LIF, Q3_8, Q8_8, REST_LIF, grid_stream, messy_stream
 
 # a rest of -0.0 and weights that hold -0.0: a voltage can stay -0.0, which
@@ -35,13 +36,13 @@ CASES = {
 }
 
 
-def frozen_engine(case, n_input, n_exc, seed=11, **kwargs):
+def case_engine(case, n_input, n_exc, seed=11, learning=False, **kwargs):
     kwargs = dict(CASES[case], **kwargs)
     values = kwargs.pop("weights", None)
     if values is not None:
         picks = np.random.default_rng(seed).integers(0, len(values), (n_input, n_exc))
         kwargs["weights"] = np.array(values)[picks]
-    return make_engine(n_input=n_input, n_exc=n_exc, seed=seed, learning=False, **kwargs)
+    return make_engine(n_input=n_input, n_exc=n_exc, seed=seed, learning=learning, **kwargs)
 
 
 def stream(kind, seed, steps, n_input, rate):
@@ -79,7 +80,7 @@ def assert_same_runs(got, want):
 def test_lanes_match_streams_run_one_by_one(case, n_input, n_exc, lanes, tail, warm):
     streams = [stream(kind, seed, steps, n_input, rate) for kind, seed, steps, rate in lanes]
     stop_ts = max(steps for _, _, steps, _ in lanes) + tail
-    engines = [frozen_engine(case, n_input, n_exc) for _ in range(2)]
+    engines = [case_engine(case, n_input, n_exc) for _ in range(2)]
     if warm:
         # start the lanes from a state off rest: voltages, traces, pending
         for engine in engines:
@@ -96,9 +97,48 @@ def test_saturating_and_quiet_lanes_together(n_lanes):
     # dense lanes hit the q3.8 voltage rails and fall back to sequential
     # saturating adds; sparse lanes beside them take the cumulative sum
     streams = [stream("grid", lane, 40, 16, 0.9 if lane % 2 else 0.1) for lane in range(n_lanes)]
-    engines = [frozen_engine("q3.8-rails", 16, 5) for _ in range(2)]
+    engines = [case_engine("q3.8-rails", 16, 5) for _ in range(2)]
     assert_same_runs(engines[0].run_lanes(streams, 42), run_one_by_one(engines[1], streams, 42))
     assert state_bytes(engines[0]) == state_bytes(engines[1])
+
+
+# the fixed cases, whose accumulated deltas are int64 sums: they learn in lanes
+LEARNING_CASES = ["q8.8", "q8.8-rest-below-zero", "q3.8-rails"]
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(LEARNING_CASES),
+    n_input=st.integers(1, 12),
+    n_exc=st.integers(1, 6),
+    lanes=st.lists(st.tuples(st.sampled_from(["messy", "grid", "empty"]),
+                             st.integers(0, 2**16), st.integers(0, 24),
+                             st.floats(0.05, 0.9)),
+                   min_size=1, max_size=17),
+    tail=st.integers(0, 3),
+    warm=st.booleans(),
+)
+@example(case="q3.8-rails", n_input=9, n_exc=1, lanes=[("messy", k, 20, 0.5) for k in range(17)],
+         tail=2, warm=True)
+@example(case="q8.8", n_input=12, n_exc=6,
+         lanes=[("messy", 3, 24, 0.5), ("empty", 0, 0, 0.5), ("grid", 4, 7, 0.9)],
+         tail=0, warm=False)
+def test_learning_lanes_match_streams_run_one_by_one(case, n_input, n_exc, lanes, tail, warm):
+    streams = [stream(kind, seed, steps, n_input, rate) for kind, seed, steps, rate in lanes]
+    stop_ts = max(steps for _, _, steps, _ in lanes) + tail
+    engines = [case_engine(case, n_input, n_exc, learning=True, accumulate_updates=True)
+               for _ in range(2)]
+    if warm:
+        # start from a state off rest and deltas already collected
+        for engine in engines:
+            engine.run(stream("messy", 1, 6, n_input, 0.5), stop_ts=6)
+    assert engines[0].learns_in_lanes
+    got = engines[0].run_lanes(streams, stop_ts)
+    want = run_one_by_one(engines[1], streams, stop_ts)
+    assert_same_runs(got, want)
+    assert state_bytes(engines[0]) == state_bytes(engines[1])
+    assert engines[0]._w_delta.tobytes() == engines[1]._w_delta.tobytes()
+    assert engines[0].steps.tobytes() == engines[1].steps.tobytes()
 
 
 # input 0 drives all three neurons over threshold in one step, input 1 only
@@ -106,31 +146,45 @@ def test_saturating_and_quiet_lanes_together(n_lanes):
 OVERFLOW_WEIGHTS = [[2.0, 2.0, 2.0], [2.0, 0.0, 0.0]]
 
 
-def overflow_error(streams):
+def overflow_error(streams, learning=False, **kwargs):
     """The overflow messages of the lanes and of the streams run one by
     one."""
     outcomes = []
     for runner in (lambda e: e.run_lanes(streams, 12),
                    lambda e: run_one_by_one(e, streams, 12)):
         engine = make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.0,
-                             learning=False, fifo_capacity=1)
+                             learning=learning, fifo_capacity=1, **kwargs)
         with pytest.raises(FifoOverflowError) as info:
             runner(engine)
         outcomes.append(str(info.value))
     return outcomes
 
 
+OVERFLOW_AT = [
+    (None, 9, 2),  # lane 2 overflows first in time, lane 1 is the lowest
+    (7, 9, 2),     # lane 0 overflows after the lanes above it
+    (None, None, 5),
+    (3, None, None),
+]
+
+
+def overflow_streams(overflow_at):
+    return [packet_array([1, 0], [1, t]) if t is not None else packet_array([1], [1])
+            for t in overflow_at]
+
+
 class TestErrorOrder:
-    @pytest.mark.parametrize("overflow_at", [
-        (None, 9, 2),  # lane 2 overflows first in time, lane 1 is the lowest
-        (7, 9, 2),     # lane 0 overflows after the lanes above it
-        (None, None, 5),
-        (3, None, None),
-    ])
+    @pytest.mark.parametrize("overflow_at", OVERFLOW_AT)
     def test_fifo_overflow_raises_for_the_lowest_overflowing_lane(self, overflow_at):
-        streams = [packet_array([1, 0], [1, t]) if t is not None else packet_array([1], [1])
-                   for t in overflow_at]
-        lanes, one_by_one = overflow_error(streams)
+        lanes, one_by_one = overflow_error(overflow_streams(overflow_at))
+        assert lanes == one_by_one
+        lowest = next(t for t in overflow_at if t is not None)
+        assert lanes == f"3 neurons fired at step {lowest}, output FIFO holds 1"
+
+    @pytest.mark.parametrize("overflow_at", OVERFLOW_AT)
+    def test_fifo_overflow_in_a_learning_chunk_raises_for_the_lowest_lane(self, overflow_at):
+        lanes, one_by_one = overflow_error(overflow_streams(overflow_at), learning=True,
+                                           numeric=Q8_8, accumulate_updates=True)
         assert lanes == one_by_one
         lowest = next(t for t in overflow_at if t is not None)
         assert lanes == f"3 neurons fired at step {lowest}, output FIFO holds 1"
@@ -157,6 +211,21 @@ class TestErrorOrder:
             engine.run_lanes(streams, stop_ts=2)
         assert state_bytes(engine) == before
         assert len(engine.run_lanes(streams[:1], stop_ts=2)) == 1
+
+    # float deltas would sum in another order; live weights change within a
+    # batch (float live weights: the test above)
+    @pytest.mark.parametrize("kwargs", [dict(accumulate_updates=True), dict(numeric=Q8_8)],
+                             ids=["float-accumulate", "fixed-live"])
+    def test_learning_in_lanes_needs_exactly_summed_deltas(self, kwargs):
+        engine = make_engine(n_input=4, n_exc=3, **kwargs)
+        assert not engine.learns_in_lanes
+        before = state_bytes(engine)
+        streams = [packet_array([0], [0]), packet_array([1], [0])]
+        with pytest.raises(ValueError, match="one lane"):
+            engine.run_lanes(streams, stop_ts=2)
+        assert state_bytes(engine) == before
+        engine.learning = False
+        assert len(engine.run_lanes(streams, stop_ts=2)) == 2
 
 
 def lane_config(mode):
@@ -205,3 +274,38 @@ def test_label_and_eval_match_the_reference(mode, n, monkeypatch):
     assert got == label_and_eval(cfg, samples, monkeypatch, reference=True)
     assert len(got[2]) == n
 
+
+
+def chunk_sizes(n, batch_size, width):
+    """The lane counts of a learning pass over n samples: chunks of up to
+    ``width`` that never cross a multiple of ``batch_size``."""
+    sizes = []
+    for first in range(0, n, batch_size):
+        left = min(batch_size, n - first)
+        sizes += [min(width, left - k) for k in range(0, left, width)]
+    return sizes
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5, 16, 17, 20])
+def test_train_pass_matches_the_reference(mode, batch_size, monkeypatch):
+    # 23 samples: every batch size leaves a partial last batch, and 20
+    # holds more samples than one chunk of LANES
+    cfg = lane_config(mode).with_value("batch_size", batch_size).with_value("epochs", 2)
+    samples = lane_samples(23)
+    engine, reference = build_engine(cfg), build_engine(cfg)
+    lanes = []
+    run_lanes = engine.run_lanes
+
+    def recording_run_lanes(streams, stop_ts):
+        lanes.append(len(streams))
+        return run_lanes(streams, stop_ts)
+
+    monkeypatch.setattr(engine, "run_lanes", recording_run_lanes)
+    totals = train_pass(engine, samples, cfg)
+    assert totals == train_one_by_one(reference, samples, cfg)
+    assert store_to_bytes(engine.store) == store_to_bytes(reference.store)
+    assert totals["packets_out"] > 0
+    width = LANES if mode == "fixed" and batch_size > 1 else 1
+    assert engine.learns_in_lanes == (width > 1)
+    assert lanes == 2 * chunk_sizes(23, batch_size, width)
