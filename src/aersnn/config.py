@@ -161,10 +161,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.dataset not in ("mnist", "ecg"):
             raise ConfigError(f"dataset must be 'mnist' or 'ecg', got {self.dataset!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("batch_size", "epochs", "fifo_capacity"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.label_fraction < 1.0:
             raise ConfigError(
                 f"label_fraction must be in (0, 1), got {self.label_fraction}"
@@ -276,7 +275,7 @@ def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base)
 

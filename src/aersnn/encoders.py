@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,7 +108,8 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
     try:
         with _open_maybe_gzip(path) as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
+        # a truncated gzip stream ends in EOFError, corrupted bytes in zlib.error
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if len(data) < 4:
         raise DatasetError(f"{path}: truncated IDX header")
@@ -166,7 +168,7 @@ def load_ecg_beats(path) -> list[Sample]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

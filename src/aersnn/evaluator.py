@@ -19,8 +19,11 @@ on its chunk, and the store ends in the last sample's state, as one
 sample per run leaves it. A learning pass does the same within each batch
 of ``batch_size`` samples when the engine ``learns_in_lanes`` (fixed-mode
 batches: the weights are frozen until the batch's flush and the deltas
-sum exactly), and otherwise runs one sample per engine run. A FIFO
-overflow raises for the first sample that overflows.
+sum exactly), and otherwise runs one sample per engine call. After the
+last sample of each batch of a learning pass the driver folds the
+accumulated deltas into the weights; a frozen pass never does, so it
+leaves the loaded weights as they are, even outside ``[w_min, w_max]``. A
+FIFO overflow raises for the first sample that overflows.
 
 ``run_experiment`` is the one train/label/evaluate pipeline shared by the
 CLI commands and the hyperparameter sweeps.
@@ -162,14 +165,14 @@ def _run_samples(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
     """Yield each sample, its ``RunResult`` and its spike count per
     excitatory neuron, run with ``engine.learning`` set to ``learning``.
     A pass runs up to ``LANES`` samples per ``run_lanes``, each from the
-    reset store; a learning chunk stays inside one batch of
-    ``cfg.batch_size`` samples, and a learning pass whose engine does not
-    learn in lanes runs one sample per ``run``."""
+    reset store; a learning pass whose engine does not learn in lanes runs
+    one sample per call. A learning pass flushes the accumulated weight
+    deltas (``apply_accumulated_updates``) once the consumer has taken the
+    last sample of each batch of ``cfg.batch_size`` samples, so its chunks
+    never cross a batch; a frozen pass never flushes."""
     was_learning = engine.learning
     engine.learning = learning
     width = LANES if not learning or engine.learns_in_lanes else 1
-    # the consumer flushes a batch after its last sample, before the next
-    # chunk runs; a frozen pass has no batches
     batch = cfg.batch_size if learning else LANES
     try:
         for first in range(0, len(samples), batch):
@@ -180,33 +183,27 @@ def _run_samples(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
                          for idx in range(start, start + len(chunk))]
                 streams = [poisson_encode(sample, cfg.encoder_params(seed))
                            for sample, seed in zip(chunk, seeds)]
-                if width == 1:
-                    runs = [engine.run(streams[0], stop_ts=cfg.timesteps)]
-                else:
-                    runs = engine.run_lanes(streams, stop_ts=cfg.timesteps)
+                runs = engine.run_lanes(streams, stop_ts=cfg.timesteps)
                 for sample, run in zip(chunk, runs):
                     yield sample, run, np.bincount(run.outputs.neuron_id,
                                                    minlength=engine.store.n_exc)
+            if learning:
+                engine.apply_accumulated_updates()
     finally:
         engine.learning = was_learning
 
 
 def train_pass(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
                *, learning: bool = True) -> dict:
-    """Stream samples through the engine with online learning, flushing
-    accumulated weight deltas every batch_size samples. Returns aggregate
-    packet counters."""
+    """Stream samples through the engine with online learning, whose
+    batches the sample driver flushes. Returns aggregate packet counters."""
     totals = {"samples": 0, "packets_in": 0, "packets_out": 0}
     for epoch in range(cfg.epochs):
         runs = _run_samples(engine, samples, cfg, (STREAM_TRAIN, epoch), learning=learning)
-        for n, (_, result, _) in enumerate(runs, 1):
+        for _, result, _ in runs:
             totals["samples"] += 1
             totals["packets_in"] += result.stats.packets_in
             totals["packets_out"] += result.stats.packets_out
-            if engine.accumulate_updates and n % cfg.batch_size == 0:
-                engine.apply_accumulated_updates()
-        if engine.accumulate_updates:
-            engine.apply_accumulated_updates()
     return totals
 
 

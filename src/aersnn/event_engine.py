@@ -49,9 +49,9 @@ step that does not ascend into consecutive runs of distinct ids, since an
 id repeated within a step must integrate its row as depressed by its
 earlier occurrence. It counts, into one per-step record per lane
 (``STEP_DTYPE``), the packets that arrived, the packets integrated and
-the neurons fired; ``EngineStats`` holds its column sums. Each lane's
-``RunResult`` holds both, and the engine keeps the last lane's record as
-``steps``.
+the neurons fired, so no handler counts; ``EngineStats`` holds its column
+sums. Each lane's ``RunResult`` holds both, and the engine keeps the last
+lane's record as ``steps``.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -62,7 +62,9 @@ numeric modes, because:
   cumulative sum, never regroups them;
 * with learning off, or with the updates accumulating, the weights are
   frozen within a run, so it reads its rows from one C-ordered copy,
-  converted once to the voltage format in fixed mode. A lane with fewer
+  converted once to the voltage format in fixed mode, however many lanes
+  it has; only a run that learns into the live weights reads the store's
+  rows, and writes them back depressed. A lane with fewer
   ids in a run reads the pad id ``n_input``, whose row adds nothing:
   ``x + (-0.0)`` is ``x`` for every float, -0.0 included, and a
   saturating add of 0 leaves a fixed value as it is. Pad ids are left
@@ -323,8 +325,8 @@ class EventEngine:
     ``learning`` can be toggled between runs (inference leaves weights
     bit-identical). With ``accumulate_updates`` the depression and
     potentiation amounts collect in a side buffer instead of the live
-    weights until ``apply_accumulated_updates`` is called, which is how
-    multi-sample learning batches are realized. Then the weights stay
+    weights until ``apply_accumulated_updates``, which ``evaluator``'s
+    sample driver calls after each learning batch. Then the weights stay
     frozen within a batch, and where the arithmetic sums exactly (fixed
     mode) the samples of a batch may learn in lanes of one ``run_lanes``.
     """
@@ -353,12 +355,10 @@ class EventEngine:
         self.learning = learning
         self.v_floor = -lif.v_thresh if v_floor is None else float(v_floor)
         self.fifo_capacity = fifo_capacity
-        self.accumulate_updates = accumulate_updates
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
-        self._w_delta = None
-        if accumulate_updates:
-            self._w_delta = np.zeros_like(store.w)
+        # the batched weight deltas, if updates accumulate
+        self._w_delta = np.zeros_like(store.w) if accumulate_updates else None
 
         ar = self.arith = store.arith
         self._decay_v = ar.coef(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)
@@ -394,7 +394,7 @@ class EventEngine:
 
     # -- handlers ---------------------------------------------------------
 
-    def integrate_handler(self, ids: np.ndarray) -> int:
+    def integrate_handler(self, ids: np.ndarray) -> None:
         """Apply one run of input spikes per lane, in stream order: lane b
         adds the weight rows ``ids[b, 0], ids[b, 1], ...`` to its
         excitatory voltages, depresses the rows by its post-synaptic
@@ -402,19 +402,16 @@ class EventEngine:
         one lane, ``ids`` is that lane's 1-D run. The ids of a lane must be
         inside the input layer and distinct; ``run_lanes`` drops and splits
         its streams so, and fills short rows of a frozen run with the pad id
-        ``n_input``. Returns the number of spikes integrated."""
+        ``n_input``."""
         ar = self.arith
         if self._frozen is not None:
             ar.add_rows(self._v, self._frozen[ids])
             bumped = (ids + self._ix_offset).reshape(-1)
-            real = ids < self.store.n_input
-            count = np.count_nonzero(real)
         else:
-            # the store's rows as they are: one lane
+            # live-weight learning runs one lane: the store's rows as they are
             store, bumped = self.store, ids
             rows = store.w[bumped]
             ar.add_rows(self._v, ar.w_to_v(rows))
-            count = bumped.size
         if self.learning:
             drop = ar.mul_w(self._ex, self._a_post)
             if self._w_delta is None:
@@ -426,13 +423,13 @@ class EventEngine:
             else:
                 # a lane's ids are distinct, but lanes share ids: lane by
                 # lane, without the pad ids, which have no row
-                for lane_ids, lane_real, lane_drop in zip(ids, real, drop):
-                    self._w_delta[lane_ids[lane_real]] -= lane_drop
+                n_input = self.store.n_input
+                for lane_ids, lane_drop in zip(ids, drop):
+                    self._w_delta[lane_ids[lane_ids < n_input]] -= lane_drop
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
         ix = self._ixf
         ix[bumped] = np.minimum(ix[bumped] + self._alpha, self._x_max)
-        return count
 
     def leak_handler(self) -> None:
         ar, v = self.arith, self._v
@@ -537,11 +534,9 @@ class EventEngine:
             # one more input trace per lane takes the pad id's bumps
             state[2] = np.pad(state[2], ((0, 0), (0, 1)))
             self._bind(*state)
-        # weights a run does not change are read from a copy: pads need its
-        # pad row, and fixed rows a conversion; one float lane integrates the
-        # store's rows as they are
-        frozen = not self.learning or self._w_delta is not None
-        if frozen and (n_lanes > 1 or not ar.rows_in_v_format):
+        # weights a run does not change are read from a copy with a pad row,
+        # converted to the voltage format once
+        if not self.learning or self._w_delta is not None:
             self._frozen = np.full((store.n_input + 1, store.n_exc), ar.pad, dtype=ar.dtype)
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):

@@ -335,8 +335,6 @@ class FloatArithmetic:
 
     # x + (-0.0) is x for every x, -0.0 included: a pad row adds nothing
     pad = -0.0
-    # weight rows add to voltages as they are
-    rows_in_v_format = True
     # sums depend on their order, so batched deltas add in stream order
     exact_sums = False
 
@@ -400,7 +398,6 @@ class FixedArithmetic:
 
     # a saturating add of zero leaves a value in range as it is
     pad = 0
-    rows_in_v_format = False
     # int64 sums of mantissas are exact: batched deltas add in any order
     exact_sums = True
 

@@ -234,9 +234,11 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
         raise CheckpointError(
             f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
         )
+    if mode not in (0, 1):
+        raise CheckpointError(f"bad numeric mode byte {mode}")
     try:
         numeric = NumericSpec(
-            mode="fixed" if mode else "float",
+            mode=("float", "fixed")[mode],
             v_format=QFormat(v_int, v_frac),
             w_format=QFormat(w_int, w_frac),
         )

@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -103,6 +104,26 @@ class TestTrain:
                               seed=derive_seed(parsed.seed, STREAM_INIT),
                               numeric=parsed.numeric_spec(), v_rest=parsed.v_rest)
         assert store.w.tobytes() == fresh.w.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_no_learning_keeps_weights_outside_the_clip_range(self, workspace, batch_size):
+        tmp, cfg = workspace
+        from aersnn.config import STREAM_INIT, derive_seed, parse_config_file
+        from aersnn.topology import build_network, save_store
+
+        parsed = parse_config_file(cfg)
+        loaded = build_network(parsed.topology_params(), parsed.stdp_params(),
+                               seed=derive_seed(parsed.seed, STREAM_INIT),
+                               numeric=parsed.numeric_spec(), v_rest=parsed.v_rest)
+        loaded.w[:] = 0.9
+        save_store(tmp / "high.aern", loaded)
+        narrow = tmp / "narrow.cfg"
+        narrow.write_text(cfg.read_text()
+                          + f"stdp.w_max = 0.5\nengine.batch_size = {batch_size}\n")
+        assert run_cli("train", "--config", narrow, "--out", tmp / "frozen",
+                       "--checkpoint", tmp / "high.aern", "--no-learning") == 0
+        store, _, _ = load_store(tmp / "frozen" / "checkpoint.aern")
+        assert store.w.tobytes() == loaded.w.tobytes()
 
     def test_missing_dataset_is_exit_2(self, workspace):
         tmp, cfg = workspace
@@ -331,6 +352,36 @@ def _eval_with_other_rest(tmp, cfg):
             "--out", tmp / "ev"]
 
 
+def _train_with_config_bytes(tmp, cfg):
+    bad = tmp / "bad.cfg"
+    bad.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+    return ["train", "--config", bad, "--out", tmp / "x"]
+
+
+def _train_on_beats_with_byte(tmp, cfg):
+    csv = tmp / "beats.csv"
+    write_beat_csv(csv, four_class_beats())
+    csv.write_bytes(csv.read_bytes() + b"\xff\n")
+    ecg = tmp / "ecg.cfg"
+    ecg.write_text(cfg.read_text() + f"data.dataset = ecg\ndata.ecg_csv = {csv}\n")
+    return ["train", "--config", ecg, "--out", tmp / "x"]
+
+
+def _train_on_gzip_images(damage):
+    def build(tmp, cfg):
+        images = tmp / "mnist" / "train-images-idx3-ubyte"
+        packed = bytearray(gzip.compress(images.read_bytes(), mtime=0))
+        images.unlink()
+        (tmp / "mnist" / (images.name + ".gz")).write_bytes(damage(packed))
+        return ["train", "--config", cfg, "--out", tmp / "x"]
+    return build
+
+
+def _corrupt_deflate(packed):
+    packed[10] = 0xFF  # after the 10-byte gzip header: a block of the reserved type
+    return bytes(packed)
+
+
 # name: (expected exit code, stderr prefix, argv builder)
 BOUNDARY_CASES = {
     "seed-negative": (1, "error:", lambda tmp, cfg: [
@@ -349,6 +400,11 @@ BOUNDARY_CASES = {
         tmp, cfg, _edit_labels("label", lambda label: [-1] * len(label)))),
     "n-classes-below-labels": (1, "error:", _train_with_three_classes),
     "checkpoint-v-rest-mismatch": (1, "error:", _eval_with_other_rest),
+    "config-not-utf8": (1, "error:", _train_with_config_bytes),
+    "beats-csv-not-utf8": (2, "io error:", _train_on_beats_with_byte),
+    "idx-gzip-truncated": (2, "io error:", _train_on_gzip_images(
+        lambda packed: bytes(packed[:len(packed) // 2]))),
+    "idx-gzip-corrupt": (2, "io error:", _train_on_gzip_images(_corrupt_deflate)),
 }
 
 
@@ -421,6 +477,8 @@ REJECTED_UP_FRONT = {
     "train-v-thresh-nan": lambda tmp, cfg: _train_with_config(tmp, cfg, "lif.v_thresh = nan\n"),
     "train-v-floor-minus-inf": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "engine.v_floor = -inf\n"),
+    "train-fifo-capacity-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "engine.fifo_capacity = 0\n"),
 }
 
 

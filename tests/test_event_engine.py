@@ -97,7 +97,7 @@ class TestEventFifo:
 class TestIntegrateHandler:
     def test_row_integration(self):
         eng = make_engine(n_input=1, n_exc=2, weights=[[0.3, 0.4]])
-        assert eng.integrate_handler(np.array([0])) == 1
+        eng.integrate_handler(np.array([0]))
         assert eng.store.exc_v.tolist() == [0.3, 0.4]
 
     def test_zero_weights_still_apply_ltd(self):

@@ -166,6 +166,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             store_from_bytes(bytes(blob))
 
+    def test_bad_mode_byte_rejected(self):
+        blob = bytearray(store_to_bytes(small_store()))
+        blob[18] = 7  # the numeric mode byte: 0 float, 1 fixed
+        with pytest.raises(CheckpointError, match="mode byte 7"):
+            store_from_bytes(bytes(blob))
+
     def test_truncation_rejected(self):
         blob = store_to_bytes(small_store())
         with pytest.raises(CheckpointError):
