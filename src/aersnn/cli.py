@@ -10,7 +10,8 @@ Subcommands::
 Shared flags: ``--config`` (key = value file), ``--seed`` (overrides the
 config seed), ``--checkpoint`` (initial store for train, required for
 eval), ``--out`` (artifact directory, default ``out``), ``--numeric-mode``
-(float/fixed override), ``--no-learning`` (freeze weights during train).
+(float/fixed override), ``--no-learning`` (freeze the weights: ``train``
+and a trace replay by ``eval`` learn online unless it is given).
 
 Every artifact embeds the config hash and the seed: checkpoints in their
 header, JSON/CSV outputs as fields, binary AER traces via a metadata
@@ -31,7 +32,9 @@ sample; a trace replay writes the record of its one stream.
 When ``data.aer_trace`` names a recorded trace file, ``eval`` replays it
 through the checkpointed network as one continuous stream (no per-sample
 resets, no classifier) and writes the emitted spikes, which is how a
-captured input recording is pushed through the processor model.
+captured input recording is pushed through the processor model. The
+replay learns online unless ``--no-learning`` is given, and never saves
+the store.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--numeric-mode", choices=("float", "fixed"),
                        help="override numeric.mode")
         p.add_argument("--no-learning", action="store_true",
-                       help="freeze weights during training")
+                       help="freeze weights during train and eval trace replay "
+                            "(replay never saves the store)")
 
     add_common(sub.add_parser("train", help="unsupervised online training"))
     add_common(sub.add_parser("eval", help="frozen-weight evaluation or trace replay"))

@@ -172,6 +172,8 @@ class RunConfig:
             raise ConfigError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}"
             )
+        if self.n_classes < 0:
+            raise ConfigError(f"n_classes must be >= 0 (0: the dataset's), got {self.n_classes}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("train_samples", "eval_samples"):

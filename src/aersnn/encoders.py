@@ -14,9 +14,9 @@ Dataset loaders:
   by /255.
 * heartbeat CSV: one beat per line, 251 amplitude columns plus an integer
   class id in {0, 1, 2, 3}; each beat is min-max normalized on load
-  (an all-flat beat maps to zeros). The CSV is produced offline by
-  scripts/extract_mitbih_beats.py, so the engine never parses waveform
-  databases.
+  (an all-flat beat maps to zeros). The CSV is made outside this
+  repository, so the engine never parses waveform databases; the tests
+  and the benchmark write synthetic ones with ``conftest.write_beat_csv``.
 """
 
 from __future__ import annotations

@@ -28,13 +28,15 @@ buffer is drained after every step and holds ``fifo_capacity`` packets:
 more neurons than that firing in one step raises ``FifoOverflowError``.
 
 ``run_lanes`` runs several streams in lockstep lanes, and ``run`` is its
-one-lane case. The handlers act on lane state, ``(lanes, n)`` voltages,
-traces and pending inhibition; outside a run, and in a one-lane run, that
-is the store's own arrays. Every lane starts from the store's state at
-the call and the last lane's end state is written back, so lanes equal
-the streams run one by one through ``run`` from that state. A learning
-run takes more than one lane only when its updates accumulate and the
-store's arithmetic sums them exactly (``learns_in_lanes``: fixed mode):
+one-lane case. The handlers act on lane state: ``(lanes, n)`` voltages,
+traces and pending inhibition, with one more input trace per lane for the
+pad id (below); a run offsets lane b's ids by ``b * (n_input + 1)``, so
+they index the flat input traces. A run copies the store's state into
+every lane and writes the last lane's end state back when it succeeds, so
+lanes equal the streams run one by one through ``run`` from that state;
+outside a run the lane state is one lane of views of the store's arrays. A
+learning run takes more than one lane only when its updates accumulate and
+the store's arithmetic sums them exactly (``learns_in_lanes``: fixed mode):
 the lanes then read the same frozen weights and add their depressions and
 potentiations into one delta buffer, lane after lane, where int64 adds
 give the same sums in any order. Float deltas would round differently in
@@ -70,9 +72,8 @@ numeric modes, because:
   saturating add of 0 leaves a fixed value as it is. Pad ids are left
   out of the depressions;
 * the post-synaptic traces do not change within integrate, so every row
-  gets the same depression: it is subtracted from the rows already
-  gathered for the voltage sum, which are clipped in place and scattered
-  back once;
+  gets the same depression: it is subtracted from the rows gathered for
+  the voltage sum, and the result is clipped and scattered back once;
 * fixed-point adds saturate. When no prefix of the cumulative sum leaves
   the voltage format, no add saturated and the last prefix is the result;
   otherwise that lane falls back to sequential saturating adds;
@@ -103,7 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LifParams, TraceParams
-from .numerics import DecayParams
+from .numerics import DecayParams, saturate_raw
 from .plasticity import StdpParams
 from .topology import (
     StateStore,
@@ -259,7 +260,8 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     cut into consecutive runs in which no id repeats (a step whose ids
     ascend is one run, any other is cut before each id already seen in
     its run). Array k holds run k of every lane, short rows filled up with
-    the pad id ``n_input``."""
+    the pad id ``n_input``; lane b's ids are offset by ``b * (n_input +
+    1)``, so they index its input traces in the lanes' flat state."""
     streams = [np.asarray(packets) for packets in streams]
     for packets in streams:
         _check_stream(packets["timestamp"], stop_ts)
@@ -307,13 +309,14 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
     flat = ids  # one lane's cells are its blocks, in order
     if n_lanes > 1:
-        flat = np.full(offset[-1], n_input, dtype=np.intp)
+        ids += np.repeat(cell_lane * (n_input + 1), size)
+        pads = np.arange(n_lanes) * (n_input + 1) + n_input
+        flat = np.repeat(np.tile(pads, width.size), np.repeat(width, n_lanes))
         start = offset[block] + cell_lane * width[block]
         flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
-    shape = (n_lanes, -1) if n_lanes > 1 else (-1,)
     blocks = np.flatnonzero(width)
     for b, lo, hi in zip(blocks.tolist(), offset[blocks].tolist(), offset[blocks + 1].tolist()):
-        runs[b // n_runs].append(flat[lo:hi].reshape(shape))
+        runs[b // n_runs].append(flat[lo:hi].reshape(n_lanes, -1))
     return steps, runs
 
 
@@ -380,56 +383,51 @@ class EventEngine:
         self._bind_store()
 
     def _bind(self, *state: np.ndarray) -> None:
-        """Make the voltages, traces, input traces and pending inhibition
-        in ``state`` the handlers' lane state: ``(lanes, n)`` arrays, or
-        the store's own 1-D arrays as its one lane."""
+        """Make the ``(lanes, n)`` voltages, traces, input traces and
+        pending inhibition in ``state`` the handlers' lane state."""
         self._v, self._ex, self._ix, self._pend = state
         self._vf, self._exf, self._ixf = (a.reshape(-1) for a in state[:3])
-        # the flat index of each lane's first input trace
-        self._ix_offset = (np.arange(len(self._ix))[:, None] * self._ix.shape[1]
-                           if self._ix.ndim > 1 else 0)
 
     def _bind_store(self) -> None:
-        self._bind(*self.store.arrays()[1:])
+        """One lane of views of the store's arrays, for handler calls made
+        outside a run."""
+        self._bind(*(a[None] for a in self.store.arrays()[1:]))
 
     # -- handlers ---------------------------------------------------------
 
     def integrate_handler(self, ids: np.ndarray) -> None:
         """Apply one run of input spikes per lane, in stream order: lane b
-        adds the weight rows ``ids[b, 0], ids[b, 1], ...`` to its
-        excitatory voltages, depresses the rows by its post-synaptic
-        traces and bumps its input traces; with the store's state as the
-        one lane, ``ids`` is that lane's 1-D run. The ids of a lane must be
-        inside the input layer and distinct; ``run_lanes`` drops and splits
-        its streams so, and fills short rows of a frozen run with the pad id
-        ``n_input``."""
-        ar = self.arith
+        adds the weight rows ``ids[b, 0], ids[b, 1], ...`` of the ``(lanes,
+        K)`` ids to its excitatory voltages, depresses the rows by its
+        post-synaptic traces and bumps its input traces. The ids of a lane
+        must be inside the input layer and distinct, and lane b's offset by
+        ``b * (n_input + 1)``; ``run_lanes`` plans its streams so, and fills
+        short rows of a frozen run with the pad id ``n_input``."""
+        ar, store = self.arith, self.store
         if self._frozen is not None:
-            ar.add_rows(self._v, self._frozen[ids])
-            bumped = (ids + self._ix_offset).reshape(-1)
+            # the copy's n_input + 1 rows take the lane offsets off
+            rows = self._frozen.take(ids, axis=0, mode="wrap")
         else:
             # live-weight learning runs one lane: the store's rows as they are
-            store, bumped = self.store, ids
-            rows = store.w[bumped]
-            ar.add_rows(self._v, ar.w_to_v(rows))
+            live = store.w[ids]
+            rows = ar.w_to_v(live)
         if self.learning:
             drop = ar.mul_w(self._ex, self._a_post)
             if self._w_delta is None:
-                # live weights are never copied, so the rows were gathered above
-                rows -= drop
-                store.w[bumped] = np.clip(rows, self._w_min, self._w_max, out=rows)
-            elif ids.ndim == 1:
-                self._w_delta[ids] -= drop
+                # the gathered rows go back depressed before add_rows
+                # overwrites them
+                depressed = live - drop
+                store.w[ids] = saturate_raw(depressed, self._w_min, self._w_max, out=depressed)
             else:
                 # a lane's ids are distinct, but lanes share ids: lane by
                 # lane, without the pad ids, which have no row
-                n_input = self.store.n_input
-                for lane_ids, lane_drop in zip(ids, drop):
-                    self._w_delta[lane_ids[lane_ids < n_input]] -= lane_drop
+                for lane_ids, lane_drop in zip(ids % (store.n_input + 1), drop):
+                    self._w_delta[lane_ids[lane_ids < store.n_input]] -= lane_drop
+        ar.add_rows(self._v, rows)
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
         ix = self._ixf
-        ix[bumped] = np.minimum(ix[bumped] + self._alpha, self._x_max)
+        ix[ids] = np.minimum(ix[ids] + self._alpha, self._x_max)
 
     def leak_handler(self) -> None:
         ar, v = self.arith, self._v
@@ -444,9 +442,9 @@ class EventEngine:
     def fire_handler(self, ts: int) -> np.ndarray:
         """Fire every neuron at or above threshold in step ``ts``, in every
         lane; returns the flat indices ``lane * n_exc + id`` of the fired
-        neurons in ascending order, which with one lane are their ids."""
-        v = self._vf
-        fired = np.flatnonzero(v >= self._thresh)
+        neurons in ascending order."""
+        crossed = self._v >= self._thresh
+        fired = np.flatnonzero(crossed)
         if fired.size > self.fifo_capacity:
             counts = np.bincount(fired // self.store.n_exc)
             for lane in np.flatnonzero(counts > self.fifo_capacity).tolist():
@@ -457,21 +455,18 @@ class EventEngine:
                 # a lane below may still overflow: run_lanes raises at the end
                 self._overflows.setdefault(lane, error)
         if fired.size:
+            k = queue_inhibition(self.store, crossed, self._inh_credit, self._pend)
             if self.learning:
-                gain = self.arith.mul_w(self._ix, self._a_pre)
-                if gain.ndim == 1:
-                    self._potentiate(fired, gain[:, None])
-                else:
-                    # lane by lane, each its fired ids and its input traces
-                    n_exc = self.store.n_exc
-                    ends = np.searchsorted(fired, np.arange(0, v.size + 1, n_exc)).tolist()
-                    for lane, (lo, hi) in enumerate(zip(ends, ends[1:])):
-                        if hi > lo:
-                            self._potentiate(fired[lo:hi] - lane * n_exc, gain[lane, :-1, None])
-            v[fired] = self._rest
+                # lane by lane, each its fired ids and its input traces
+                gain = self.arith.mul_w(self._ix[:, :self.store.n_input, None], self._a_pre)
+                lo = 0
+                for lane, n in enumerate(k[:, 0].tolist()):
+                    if n:
+                        self._potentiate(fired[lo:lo + n] - lane * self.store.n_exc, gain[lane])
+                        lo += n
+            self._vf[fired] = self._rest
             ex = self._exf
             ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
-            queue_inhibition(self.store, fired, self._inh_credit, self._pend)
         return fired
 
     def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
@@ -519,21 +514,21 @@ class EventEngine:
         """``run`` each packet array of ``streams`` in a lane of its own,
         all lanes advancing one timestep together; returns one result per
         stream. Learning on and more than one stream raise ``ValueError``
-        unless the engine ``learns_in_lanes``."""
+        unless the engine ``learns_in_lanes``. A call that raises leaves the
+        store's voltages, traces and pending inhibition as they were at the
+        call."""
         n_lanes = len(streams)
         if self.learning and n_lanes > 1 and not self.learns_in_lanes:
             raise ValueError("learning runs one lane at a time unless updates accumulate "
                              f"and sum exactly, got {n_lanes} streams")
-        if not n_lanes:
+        if not streams:
             return []
         store, ar = self.store, self.arith
         steps, runs = _plan_lanes(streams, stop_ts, store.n_input)
-        self._bind_store()
-        if n_lanes > 1:
-            state = [np.repeat(a[None], n_lanes, axis=0) for a in store.arrays()[1:]]
-            # one more input trace per lane takes the pad id's bumps
-            state[2] = np.pad(state[2], ((0, 0), (0, 1)))
-            self._bind(*state)
+        # one more input trace per lane takes the pad id's bumps
+        v, ex, ix, pend = store.arrays()[1:]
+        state = [np.repeat(a[None], n_lanes, axis=0) for a in (v, ex, np.append(ix, 0), pend)]
+        self._bind(*state)
         # weights a run does not change are read from a copy with a pad row,
         # converted to the voltage format once
         if not self.learning or self._w_delta is not None:
@@ -551,25 +546,22 @@ class EventEngine:
                 fired_per_step.append(self.fire_handler(t))
             if self._overflows:
                 raise self._overflows[min(self._overflows)]
-            if n_lanes > 1:
-                for a, lanes in zip(store.arrays()[1:], (self._v, self._ex, self._ix, self._pend)):
-                    a[:] = lanes[-1, :a.size]
+            for a, lanes in zip(store.arrays()[1:], state):
+                a[:] = lanes[-1, :a.size]
         finally:
             self._frozen = None
             self._bind_store()
 
         sizes = [f.size for f in fired_per_step]
         fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
-        del fired_per_step  # the lanes' packets can be many: hold them once
+        del fired_per_step, runs  # the lanes' packets can be many: hold them once
         f_ts = np.repeat(np.arange(stop_ts, dtype=np.uint32), sizes)
-        if n_lanes == 1:
-            steps["fired"], outputs = sizes, [packet_array(fired, f_ts)]
-        else:
-            f_lane = fired // store.n_exc
-            fired %= store.n_exc
-            outputs = [packet_array(fired[f_lane == lane], f_ts[f_lane == lane])
-                       for lane in range(n_lanes)]
-            steps["fired"] = [np.bincount(out.timestamp, minlength=stop_ts) for out in outputs]
+        f_lane = fired // store.n_exc
+        fired -= f_lane * store.n_exc
+        packets = packet_array(fired, f_ts)
+        del fired, f_ts
+        outputs = [packets[f_lane == lane] for lane in range(n_lanes)]
+        steps["fired"] = [np.bincount(out.timestamp, minlength=stop_ts) for out in outputs]
         results = [RunResult(outputs=out, stats=EngineStats.from_steps(rec), steps=rec)
                    for out, rec in zip(outputs, steps)]
         self.steps = results[-1].steps

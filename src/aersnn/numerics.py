@@ -278,7 +278,7 @@ def leak_toward(v, rest, p: DecayParams):
 
 
 def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.clip`` for integer arrays, without its per-call checks."""
+    """``np.clip`` without its per-call checks."""
     return np.minimum(np.maximum(raw, lo, out=out), hi, out=out)
 
 
@@ -346,18 +346,19 @@ class FloatArithmetic:
 
     def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
         """``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in place, in that
-        order, for every lane b of the ``(lanes, n)`` voltages; 1-D
-        voltages and 2-D rows are one lane."""
-        stack = np.concatenate((v[..., None, :], rows), axis=-2)
-        if v.shape[-1] == 1:
+        order, for every lane b of the ``(lanes, n)`` voltages; the ``(lanes,
+        K, n)`` rows are C-ordered, and are overwritten."""
+        # the sums below add v + rows[0], rows[1], ... in that order
+        rows[:, 0] += v
+        if v.shape[1] == 1:
             # a reduction over a lone column would run pairwise; a
             # cumulative sum always adds row after row
-            v[...] = np.cumsum(stack, axis=-2)[..., -1, :]
+            v[:] = np.cumsum(rows, axis=1)[:, -1]
         else:
             # down the rows of a C-ordered stack numpy adds row after row,
             # to a start of +0.0 unless told otherwise: -0.0 + x is x for
             # every x, where +0.0 + -0.0 would lose the sign of a zero sum
-            np.add.reduce(stack, axis=-2, out=v, initial=-0.0)
+            np.add.reduce(rows, axis=1, out=v, initial=-0.0)
 
     def repeated_sums(self, amount: float, n: int) -> np.ndarray:
         """``sums[m]``: ``amount`` added m times in sequence to zero, m = 0..n."""
@@ -410,23 +411,21 @@ class FixedArithmetic:
 
     def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
         """Saturating ``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in
-        place, for every lane b of the ``(lanes, n)`` voltages, or of 1-D
-        voltages as one lane; the rows are in the voltage format
-        (``w_to_v``)."""
+        place, for every lane b of the ``(lanes, n)`` voltages; the rows
+        are in the voltage format (``w_to_v``)."""
         # int64 sums are exact, so prefix k is v + rows[0] + ... + rows[k]
-        prefix = np.cumsum(rows, axis=-2)
-        prefix += v[..., None, :]
+        prefix = np.cumsum(rows, axis=1)
+        prefix += v[:, None]
         # no prefix out of range means no add of that lane saturated; a lane
         # that saturated adds its rows again one at a time
         if prefix.min() < self.v_min or prefix.max() > self.v_max:
-            lanes = prefix.reshape(-1, *rows.shape[-2:])
-            over = ((lanes < self.v_min) | (lanes > self.v_max)).any(axis=(1, 2))
+            over = ((prefix < self.v_min) | (prefix > self.v_max)).any(axis=(1, 2))
             for lane in np.flatnonzero(over):
-                x = lanes[lane, -1]
-                x[:] = v.reshape(len(lanes), -1)[lane]
-                for row in rows.reshape(lanes.shape)[lane]:
+                x = prefix[lane, -1]
+                x[:] = v[lane]
+                for row in rows[lane]:
                     saturate_raw(x + row, self.v_min, self.v_max, out=x)
-        v[...] = prefix[..., -1, :]
+        v[:] = prefix[:, -1]
 
     def repeated_sums(self, amount: int, n: int) -> np.ndarray:
         # saturating adds of a nonnegative amount sum to min(total, top), so

@@ -70,8 +70,9 @@ class TopologyParams:
     def __post_init__(self) -> None:
         if self.n_input < 1:
             raise ValueError(f"n_input must be >= 1, got {self.n_input}")
-        if self.n_exc < 1:
-            raise ValueError(f"n_exc must be >= 1, got {self.n_exc}")
+        if not 1 <= self.n_exc <= 65536:
+            # output packets carry 16-bit neuron ids
+            raise ValueError(f"n_exc must be in [1, 65536], got {self.n_exc}")
         if self.w_inh < 0:
             raise ValueError(f"w_inh must be >= 0, got {self.w_inh}")
 
@@ -146,15 +147,14 @@ def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
     return store.arith.repeated_sums(store.arith.voltage(w_inh), store.n_exc)
 
 
-def queue_inhibition(store: StateStore, fired: np.ndarray, credit: np.ndarray,
-                     pending: np.ndarray | None = None) -> None:
+def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
+                     pending: np.ndarray) -> np.ndarray:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
-    except the firing one, once per firing neuron of the same lane. Applied
-    and cleared by the next leak phase. ``credit`` is
-    ``inhibition_credit(store, w_inh)``; ``pending`` is a ``(lanes,
-    n_exc)`` array, or by default the store's own as one lane; ``fired``
-    holds the flat indices ``lane * n_exc + id`` of the distinct neurons
-    that fired, which with one lane are their ids.
+    except the firing one, once per firing neuron of the same lane; the
+    next leak phase applies and clears it. ``crossed`` is the ``(lanes,
+    n_exc)`` mask of the firing neurons, ``pending`` the lanes' pending
+    inhibition and ``credit`` ``inhibition_credit(store, w_inh)``. Returns
+    the ``(lanes, 1)`` firing counts.
 
     Closed form of the per-neuron loop: with k distinct neurons firing in a
     lane, every other neuron of the lane is credited k times and each
@@ -164,21 +164,10 @@ def queue_inhibition(store: StateStore, fired: np.ndarray, credit: np.ndarray,
     inhibition yet, which is so at fire time, right after the leak cleared
     it.
     """
-    if pending is None:
-        pending = store.pending
-    if not fired.size:
-        return
-    if pending.ndim == 1:
-        add = np.full(store.n_exc, credit[fired.size])
-        add[fired] = credit[fired.size - 1]
-    else:
-        lane = fired // store.n_exc
-        k = np.bincount(lane, minlength=len(pending))
-        add = np.repeat(credit[k], store.n_exc)
-        add[fired] = credit[k[lane] - 1]
-        add = add.reshape(pending.shape)
-    pending += add
+    k = np.add.reduce(crossed, axis=1, keepdims=True, dtype=np.intp)
+    pending += credit[k - crossed]
     store.arith.saturate_v(pending)
+    return k
 
 
 def reset_for_sample(store: StateStore) -> None:

@@ -1,10 +1,17 @@
 import numpy as np
+from hypothesis import settings
 
 from aersnn.dynamics import LifParams, TraceParams
 from aersnn.event_engine import EventEngine, packet_array
 from aersnn.numerics import NumericSpec
 from aersnn.plasticity import StdpParams
 from aersnn.topology import TopologyParams, build_network
+
+# one profile for every test: no per-example deadline, as timings vary from
+# host to host, and examples drawn from a hash of each test, so every run
+# draws the same ones
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 DEFAULT_LIF = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=100.0, dt=1.0)
 DEFAULT_TRACE = TraceParams(tau_x=20.0, alpha=1.0, x_max=10.0, dt=1.0)

@@ -479,6 +479,12 @@ REJECTED_UP_FRONT = {
         tmp, cfg, "engine.v_floor = -inf\n"),
     "train-fifo-capacity-zero": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "engine.fifo_capacity = 0\n"),
+    "train-n-classes-negative": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "data.n_classes = -1\n"),
+    # output packets carry 16-bit ids: rejected before a 440 MB store is built
+    "train-n-exc-past-16-bits": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "topology.n_exc = 70000\n"),
+    "sweep-n-exc-past-16-bits": _sweep("n_exc", "12,70000"),
 }
 
 

@@ -83,6 +83,12 @@ class TestValidate:
         with pytest.raises(ConfigError):
             RunConfig(max_rate=2.0).validate()
 
+    def test_negative_n_classes_is_an_error(self):
+        assert RunConfig(n_classes=0).resolved_n_classes() == 10
+        RunConfig(n_classes=0).validate()
+        with pytest.raises(ConfigError, match="n_classes"):
+            RunConfig(n_classes=-1).validate()
+
 
 class TestConfigHash:
     def test_hash_stable_and_seed_independent(self):

@@ -43,22 +43,22 @@ class TestParams:
 class TestIntegrate:
     def test_zero_weight_is_identity(self):
         eng = neuron()
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert state(eng) == (0.0, 0.0)
 
     def test_sums_activations(self):
         eng = neuron(weights=[[0.3], [0.4]])
-        eng.integrate_handler(np.array([0, 1]))
+        eng.integrate_handler(np.array([[0, 1]]))
         assert eng.store.exc_v[0] == pytest.approx(0.7)
 
     def test_no_clamp_at_threshold(self):
         eng = neuron(v=0.9, weights=[[0.3]])
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.exc_v[0] == pytest.approx(1.2)
 
     def test_trace_untouched(self):
         eng = neuron(x=2.5, weights=[[1.0]])
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.exc_x[0] == 2.5
 
 
@@ -121,19 +121,19 @@ class TestBumpTrace:
     # an input spike bumps its input trace as a firing bumps the neuron's
     def test_from_zero(self):
         eng = neuron()
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.input_x[0] == 1.0
 
     def test_ceiling_clamp(self):
         eng = neuron()
         eng.store.input_x[:] = 9.5
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.input_x[0] == 10.0
 
     def test_bump_bump_leak_sequence(self):
         eng = neuron(trace=TraceParams(tau_x=2.0, alpha=1.0, x_max=10.0, dt=1.0))
-        eng.integrate_handler(np.array([0]))
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.input_x[0] == 2.0
         eng.leak_handler()
         assert eng.store.input_x[0] == 1.0
@@ -143,7 +143,7 @@ class TestBumpTrace:
         eng = neuron()
         for op in ops:
             if op == "bump":
-                eng.integrate_handler(np.array([0]))
+                eng.integrate_handler(np.array([[0]]))
             elif op == "fire":
                 eng.store.exc_v[:] = LIF.v_thresh
                 eng.fire_handler(0)

@@ -97,13 +97,13 @@ class TestEventFifo:
 class TestIntegrateHandler:
     def test_row_integration(self):
         eng = make_engine(n_input=1, n_exc=2, weights=[[0.3, 0.4]])
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         assert eng.store.exc_v.tolist() == [0.3, 0.4]
 
     def test_zero_weights_still_apply_ltd(self):
         eng = make_engine(n_input=1, n_exc=2, weights=[[0.5, 0.5]])
         eng.store.exc_x[:] = 2.0
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         # depression by alpha_post * x_post = 0.005 * 2
         assert eng.store.w[0].tolist() == [0.49, 0.49]
 
@@ -111,7 +111,7 @@ class TestIntegrateHandler:
         eng = make_engine(learning=False)
         before = eng.store.w.tobytes()
         eng.store.exc_x[:] = 3.0
-        eng.integrate_handler(np.array([2]))
+        eng.integrate_handler(np.array([[2]]))
         assert eng.store.w.tobytes() == before
         assert np.any(eng.store.exc_v != 0.0)
 
@@ -140,7 +140,7 @@ class TestIntegrateHandler:
 
     def test_bumps_input_trace_after_ltd(self):
         eng = make_engine(n_input=2, n_exc=1, weights=[[0.5], [0.5]])
-        eng.integrate_handler(np.array([1]))
+        eng.integrate_handler(np.array([[1]]))
         assert eng.store.input_x.tolist() == [0.0, 1.0]
 
 
@@ -314,8 +314,8 @@ class TestRun:
         for eng in engines:
             eng.store.exc_x[:] = 2.0
         engines[0].run(packet_array([1, 0, 1], [0, 0, 0]), stop_ts=1)
-        engines[1].integrate_handler(np.array([1, 0]))
-        engines[1].integrate_handler(np.array([1]))
+        engines[1].integrate_handler(np.array([[1, 0]]))
+        engines[1].integrate_handler(np.array([[1]]))
         engines[1].leak_handler()
         engines[1].fire_handler(0)
         assert engines[0].store.state_equal(engines[1].store)
@@ -347,7 +347,7 @@ class TestBatchedUpdates:
         eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]],
                           accumulate_updates=True)
         eng.store.exc_x[:] = 2.0
-        eng.integrate_handler(np.array([0]))
+        eng.integrate_handler(np.array([[0]]))
         # live weights untouched until the flush
         assert eng.store.w[0, 0] == 0.5
         eng.apply_accumulated_updates()

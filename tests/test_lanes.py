@@ -7,7 +7,7 @@ checked against their references too."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aersnn import evaluator
@@ -65,7 +65,6 @@ def assert_same_runs(got, want):
         assert g.stats == w.stats, f"lane {lane} stats"
 
 
-@settings(deadline=None, derandomize=True)
 @given(
     case=st.sampled_from(sorted(CASES)),
     n_input=st.integers(1, 12),
@@ -106,7 +105,6 @@ def test_saturating_and_quiet_lanes_together(n_lanes):
 LEARNING_CASES = ["q8.8", "q8.8-rest-below-zero", "q3.8-rails"]
 
 
-@settings(deadline=None, derandomize=True)
 @given(
     case=st.sampled_from(LEARNING_CASES),
     n_input=st.integers(1, 12),
@@ -188,6 +186,21 @@ class TestErrorOrder:
         assert lanes == one_by_one
         lowest = next(t for t in overflow_at if t is not None)
         assert lanes == f"3 neurons fired at step {lowest}, output FIFO holds 1"
+
+    @pytest.mark.parametrize("n_lanes", [1, 3])
+    def test_failing_run_leaves_the_store_as_it_was(self, n_lanes):
+        # every lane fires neuron 0 alone at step 1, then lane 0 overflows
+        # at step 5 and lanes above it at step 7
+        engine = make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.5,
+                             learning=False, fifo_capacity=1)
+        engine.run(packet_array([1, 1], [0, 2]), stop_ts=3)
+        before = [a.copy() for a in engine.store.arrays()[1:]]
+        assert any(a.any() for a in before[1:])
+        streams = [packet_array([1, 0], [1, 7 if lane else 5]) for lane in range(n_lanes)]
+        with pytest.raises(FifoOverflowError, match="at step 5"):
+            engine.run_lanes(streams, stop_ts=12)
+        for a, saved in zip(engine.store.arrays()[1:], before):
+            assert a.tobytes() == saved.tobytes()
 
     def test_bad_stream_raises_before_any_state_changes(self):
         engine = make_engine(n_input=4, n_exc=3, learning=False)

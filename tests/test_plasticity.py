@@ -27,7 +27,7 @@ def synapse(w, stdp=P, **kwargs):
 def ltd(eng, x_post):
     """One input spike with the neuron's trace at ``x_post``."""
     eng.store.exc_x[:] = x_post
-    eng.integrate_handler(np.array([0]))
+    eng.integrate_handler(np.array([[0]]))
     return float(eng.store.w[0, 0])
 
 
@@ -147,7 +147,7 @@ class TestTracePairCorrespondence:
             # the pre spike bumps the input trace to a_pre, gap leak steps
             # decay it, the post spike potentiates by it
             eng = synapse(0.0, self.RULE, lif=DEFAULT_LIF, trace=trace)
-            eng.integrate_handler(np.array([0]))
+            eng.integrate_handler(np.array([[0]]))
             for _ in range(gap):
                 eng.leak_handler()
             eng.store.exc_v[:] = eng.lif.v_thresh

@@ -58,6 +58,12 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             TopologyParams(n_input=3, n_exc=0, w_inh=0.5)
 
+    def test_n_exc_fits_the_16_bit_output_ids(self):
+        # output packets carry 16-bit ids: neuron 65535 is the last one
+        TopologyParams(n_input=1, n_exc=65536, w_inh=0.5)
+        with pytest.raises(ValueError, match="65536"):
+            TopologyParams(n_input=1, n_exc=65537, w_inh=0.5)
+
     def test_fixed_mode_weights_are_quantized_mantissas(self):
         store = small_store(numeric=NumericSpec(mode="fixed"))
         assert store.w.dtype == np.int64
@@ -66,32 +72,52 @@ class TestBuildNetwork:
         assert np.all(store.w <= int(0.8 * 2**14) + 1)
 
 
+def queue(store, *fired, w_inh=0.5):
+    """Queue the inhibition of the neurons ``fired[b]`` of lane b against
+    lanes of the store's pending inhibition; returns the lanes, and the
+    firing counts."""
+    crossed = np.zeros((len(fired), store.n_exc), dtype=bool)
+    for lane, ids in enumerate(fired):
+        crossed[lane, list(ids)] = True
+    pending = np.repeat(store.pending[None], len(fired), axis=0)
+    counts = queue_inhibition(store, crossed, inhibition_credit(store, w_inh), pending)
+    return pending, counts
+
+
 class TestQueueInhibition:
     def test_no_fires_no_change(self):
         store = small_store()
-        queue_inhibition(store, np.array([], dtype=np.intp), inhibition_credit(store, 0.5))
-        assert np.all(store.pending == 0.0)
+        pending, counts = queue(store, [])
+        assert np.all(pending == 0.0)
+        assert counts.tolist() == [[0]]
 
     def test_all_but_self(self):
-        store = small_store()
-        queue_inhibition(store, np.array([1]), inhibition_credit(store, 0.5))
-        assert store.pending.tolist() == [0.5, 0.0, 0.5]
+        pending, _ = queue(small_store(), [1])
+        assert pending.tolist() == [[0.5, 0.0, 0.5]]
 
     def test_superposition_of_two_fires(self):
-        store = small_store()
-        queue_inhibition(store, np.array([0, 1]), inhibition_credit(store, 0.5))
-        assert store.pending.tolist() == [0.5, 0.5, 1.0]
+        pending, counts = queue(small_store(), [0, 1])
+        assert pending.tolist() == [[0.5, 0.5, 1.0]]
+        assert counts.tolist() == [[2]]
+
+    def test_lanes_inhibit_only_themselves(self):
+        pending, counts = queue(small_store(), [0, 1], [], [2])
+        assert pending.tolist() == [[0.5, 0.5, 1.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+        assert counts.tolist() == [[2], [0], [1]]
 
     def test_self_exclusion(self):
         store = small_store()
         before = store.pending[1]
-        queue_inhibition(store, np.array([1]), inhibition_credit(store, 0.5))
+        crossed = np.array([[False, True, False]])
+        queue_inhibition(store, crossed, inhibition_credit(store, 0.5), store.pending[None])
         assert store.pending[1] == before
+        assert store.pending.tolist() == [0.5, 0.0, 0.5]
 
     def test_fixed_mode_saturates_at_format_top(self):
         store = small_store(numeric=NumericSpec(mode="fixed"))
+        credit = inhibition_credit(store, 100.0)
         for _ in range(10):
-            queue_inhibition(store, np.array([0]), inhibition_credit(store, 100.0))
+            queue_inhibition(store, np.array([[True, False, False]]), credit, store.pending[None])
         top = store.numeric.v_format.raw_max
         assert np.all(store.pending[1:] == top)
 
