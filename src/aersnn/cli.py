@@ -81,7 +81,6 @@ from .event_engine import (
     read_aer_file,
     write_activation_log,
     write_aer_file,
-    write_aer_text,
 )
 from .topology import CheckpointError, atomic_open, load_store, reset_for_sample, save_store
 
@@ -149,6 +148,14 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
     return train, test
 
 
+def _check_train_split(cfg: RunConfig, train_set: list[Sample]) -> None:
+    """Labeling needs a training sample; a dataset file holds one, so only
+    ``data.test_fraction`` can leave none."""
+    if not train_set:
+        raise ConfigError(f"data.test_fraction = {cfg.test_fraction} leaves no sample "
+                          "for training")
+
+
 def _eval_slice(cfg: RunConfig, test_set: list[Sample]) -> list[Sample]:
     """The test samples ``eval.samples`` selects; none is a config error."""
     test_slice = slice_counted(test_set, cfg.eval_samples)
@@ -192,6 +199,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
     train_set, test_set = _load_dataset(cfg)
+    _check_train_split(cfg, train_set)
     _eval_slice(cfg, test_set)
     initial = _load_checkpoint(args.checkpoint, cfg) if args.checkpoint else None
     result = run_experiment(cfg, train_set, test_set, initial,
@@ -237,8 +245,6 @@ def _replay_trace(args, cfg: RunConfig, cfg_hash: str) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_aer_file(out / "replay_output.aer", result.outputs)
-    if cfg.write_text_trace:
-        write_aer_text(out / "replay_output.aer.txt", result.outputs)
     record = {"command": "eval-replay", "config_hash": cfg_hash, "seed": cfg.seed,
               "trace": str(cfg.aer_trace)}
     record.update(result.stats.as_dict())
@@ -294,6 +300,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     train_set, test_set = _load_dataset(cfg)
+    _check_train_split(cfg, train_set)
     _eval_slice(cfg, test_set)
     points = sweep(args.param, values, cfg, train_set, test_set)
 
@@ -334,8 +341,6 @@ def cmd_encode(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     n = write_aer_file(out / "trace.aer", packets)
-    if cfg.write_text_trace:
-        write_aer_text(out / "trace.aer.txt", packets)
     _write_lines(out / "trace.meta.json", [_json_line({
         "command": "encode", "config_hash": cfg_hash, "seed": cfg.seed,
         "packets": n, "samples": len(subset), "timesteps": cfg.timesteps,

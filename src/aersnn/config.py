@@ -103,7 +103,6 @@ class RunConfig:
     n_classes: int = 0
     test_fraction: float = 0.25
     aer_trace: str = ""
-    write_text_trace: bool = False
     # run
     seed: int = 1
 
@@ -219,7 +218,6 @@ _KEY_MAP = {
     "data.n_classes": "n_classes",
     "data.test_fraction": "test_fraction",
     "data.aer_trace": "aer_trace",
-    "data.write_text_trace": "write_text_trace",
     "run.seed": "seed",
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

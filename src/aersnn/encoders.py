@@ -11,7 +11,7 @@ Dataset loaders:
 
 * MNIST-style IDX files (optionally gzipped): big-endian headers, images
   magic 0x00000803, labels magic 0x00000801. Pixels normalize to [0, 1]
-  by /255.
+  by /255; a file without images is a ``DatasetError``.
 * heartbeat CSV: one beat per line, 251 amplitude columns plus an integer
   class id in {0, 1, 2, 3}; each beat is min-max normalized on load
   (an all-flat beat maps to zeros). The CSV is made outside this
@@ -157,6 +157,8 @@ def load_mnist(path, split: str = "train") -> list[Sample]:
         raise DatasetError(
             f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
         )
+    if not labels.size:
+        raise DatasetError(f"{resolved[0]}: holds no images")
     flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return [Sample(features=flat[k], label=int(labels[k])) for k in range(len(labels))]
 
@@ -206,12 +208,10 @@ def load_ecg_beats(path) -> list[Sample]:
 def split_samples(
     samples: list[Sample], test_fraction: float, seed: int
 ) -> tuple[list[Sample], list[Sample]]:
-    """Deterministic shuffled train/test split."""
+    """Deterministic shuffled train/test split: both halves come in the
+    order of one seeded permutation, so a file sorted by class is mixed."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    order = np.random.default_rng(seed).permutation(len(samples))
+    order = np.random.default_rng(seed).permutation(len(samples)).tolist()
     n_test = max(1, int(round(len(samples) * test_fraction)))
-    test_idx = set(order[:n_test].tolist())
-    train = [samples[k] for k in range(len(samples)) if k not in test_idx]
-    test = [samples[k] for k in sorted(test_idx)]
-    return train, test
+    return [samples[k] for k in order[n_test:]], [samples[k] for k in order[:n_test]]

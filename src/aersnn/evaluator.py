@@ -299,7 +299,7 @@ def sweep(param: str, values, cfg: RunConfig, train_samples: list[Sample],
         raise ValueError(
             f"unknown sweep parameter {param!r}, expected one of {SWEEPABLE_PARAMS}"
         )
-    integer = param in ("n_exc", "batch_size", "timesteps")
+    integer = isinstance(getattr(cfg, param), int)
     configs = []
     for value in values:
         try:

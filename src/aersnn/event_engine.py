@@ -24,8 +24,10 @@ A step without packets still leaks and fires, so gaps decay state exactly
 as if the quiet steps had been driven. Input timestamps must be
 non-decreasing and below ``stop_ts``; the whole stream is checked before
 any state changes, and a violation raises ``ProtocolError``. The output
-buffer is drained after every step and holds ``fifo_capacity`` packets:
-more neurons than that firing in one step raises ``FifoOverflowError``.
+buffer is drained after every step and holds ``fifo_capacity`` packets. A
+run checks it once, after its last step, from the fired counts of its
+step record: more neurons than that firing in one step raises
+``FifoOverflowError``, naming the first such step.
 
 ``run_lanes`` runs several streams in lockstep lanes, and ``run`` is its
 one-lane case. The handlers act on lane state: ``(lanes, n)`` voltages,
@@ -127,7 +129,6 @@ __all__ = [
     "packet_array",
     "write_aer_file",
     "read_aer_file",
-    "write_aer_text",
     "write_activation_log",
 ]
 
@@ -182,15 +183,6 @@ def read_aer_file(path) -> np.recarray:
         if size % PACKET_BYTES:
             raise ValueError(f"trace length {size} is not a multiple of {PACKET_BYTES}")
         return np.fromfile(fh, dtype=PACKET_DTYPE).view(np.recarray)
-
-
-def write_aer_text(path, packets: np.ndarray) -> int:
-    """Debug form: one ``timestamp,neuron_id`` pair per line."""
-    packets = np.asarray(packets, dtype=PACKET_DTYPE)
-    rows = np.column_stack((packets["timestamp"], packets["neuron_id"]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt="%d", delimiter=",")
-    return len(packets)
 
 
 @dataclass
@@ -376,10 +368,8 @@ class EventEngine:
         self._w_min = ar.weight(stdp.w_min)
         self._w_max = ar.weight(stdp.w_max)
         self._inh_credit = inhibition_credit(store, topology.w_inh)
-        # the rows a frozen run integrates, and its first overflow of each
-        # lane above 0
+        # the rows a frozen run integrates
         self._frozen = None
-        self._overflows: dict[int, FifoOverflowError] = {}
         self._bind_store()
 
     def _bind(self, *state: np.ndarray) -> None:
@@ -439,21 +429,12 @@ class EventEngine:
         self._ix -= ar.mul_v(self._ix, self._decay_x)
         self._pend[:] = 0
 
-    def fire_handler(self, ts: int) -> np.ndarray:
-        """Fire every neuron at or above threshold in step ``ts``, in every
-        lane; returns the flat indices ``lane * n_exc + id`` of the fired
-        neurons in ascending order."""
+    def fire_handler(self) -> np.ndarray:
+        """Fire every neuron at or above threshold, in every lane; returns
+        the flat indices ``lane * n_exc + id`` of the fired neurons in
+        ascending order."""
         crossed = self._v >= self._thresh
         fired = np.flatnonzero(crossed)
-        if fired.size > self.fifo_capacity:
-            counts = np.bincount(fired // self.store.n_exc)
-            for lane in np.flatnonzero(counts > self.fifo_capacity).tolist():
-                error = FifoOverflowError(f"{counts[lane]} neurons fired at step {ts}, "
-                                          f"output FIFO holds {self.fifo_capacity}")
-                if lane == 0:
-                    raise error
-                # a lane below may still overflow: run_lanes raises at the end
-                self._overflows.setdefault(lane, error)
         if fired.size:
             k = queue_inhibition(self.store, crossed, self._inh_credit, self._pend)
             if self.learning:
@@ -514,9 +495,13 @@ class EventEngine:
         """``run`` each packet array of ``streams`` in a lane of its own,
         all lanes advancing one timestep together; returns one result per
         stream. Learning on and more than one stream raise ``ValueError``
-        unless the engine ``learns_in_lanes``. A call that raises leaves the
-        store's voltages, traces and pending inhibition as they were at the
-        call."""
+        unless the engine ``learns_in_lanes``. The output FIFO is checked
+        once, after the last step, from the fired counts of the step
+        records: the lowest lane with more than ``fifo_capacity`` neurons
+        fired in one step raises ``FifoOverflowError`` for its first such
+        step. A call that raises leaves the store's voltages, traces and
+        pending inhibition as they were at the call; a learning run that
+        overflows keeps the weight or delta updates of all its steps."""
         n_lanes = len(streams)
         if self.learning and n_lanes > 1 and not self.learns_in_lanes:
             raise ValueError("learning runs one lane at a time unless updates accumulate "
@@ -536,32 +521,41 @@ class EventEngine:
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):
                 self._frozen[lo:min(lo + 64, store.n_input)] = ar.w_to_v(store.w[lo:lo + 64])
-        self._overflows = {}
         fired_per_step = []
         try:
             for t in range(stop_ts):
                 for run in runs[t]:
                     self.integrate_handler(run)
                 self.leak_handler()
-                fired_per_step.append(self.fire_handler(t))
-            if self._overflows:
-                raise self._overflows[min(self._overflows)]
-            for a, lanes in zip(store.arrays()[1:], state):
-                a[:] = lanes[-1, :a.size]
+                fired_per_step.append(self.fire_handler())
         finally:
             self._frozen = None
             self._bind_store()
 
+        # the lanes' packets can be many: the plan goes first, and the fired
+        # ids are held once
+        del runs
         sizes = [f.size for f in fired_per_step]
         fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
-        del fired_per_step, runs  # the lanes' packets can be many: hold them once
+        del fired_per_step
         f_ts = np.repeat(np.arange(stop_ts, dtype=np.uint32), sizes)
         f_lane = fired // store.n_exc
+        key = f_lane * stop_ts  # lane * stop_ts + timestep, as in the plan
+        key += f_ts
+        steps["fired"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
+        del key
+        # the lowest lane that overflows raises, at its first such step
+        full = np.flatnonzero(steps["fired"] > self.fifo_capacity)
+        if full.size:
+            lane, t = divmod(int(full[0]), stop_ts)
+            raise FifoOverflowError(f"{steps['fired'][lane, t]} neurons fired at step {t}, "
+                                    f"output FIFO holds {self.fifo_capacity}")
+        for a, lanes in zip(store.arrays()[1:], state):
+            a[:] = lanes[-1, :a.size]
         fired -= f_lane * store.n_exc
         packets = packet_array(fired, f_ts)
         del fired, f_ts
         outputs = [packets[f_lane == lane] for lane in range(n_lanes)]
-        steps["fired"] = [np.bincount(out.timestamp, minlength=stop_ts) for out in outputs]
         results = [RunResult(outputs=out, stats=EngineStats.from_steps(rec), steps=rec)
                    for out, rec in zip(outputs, steps)]
         self.steps = results[-1].steps

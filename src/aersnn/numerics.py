@@ -142,10 +142,6 @@ class Fixed:
                 f"[{self.fmt.raw_min}, {self.fmt.raw_max}]"
             )
 
-    @property
-    def value(self) -> float:
-        return self.raw * self.fmt.lsb
-
 
 def _clamp_int(raw: int, fmt: QFormat) -> int:
     if raw > fmt.raw_max:

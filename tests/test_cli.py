@@ -137,6 +137,17 @@ class TestTrain:
         bad.write_text("lif.v_thresh = -5\n")
         assert run_cli("train", "--config", bad, "--out", tmp / "x") == 1
 
+    def test_class_sorted_beats_label_every_class(self, workspace):
+        # the beat file holds its classes in blocks; the split shuffles
+        # both halves, so the tail of the training half that labels is not
+        # one class
+        tmp, cfg = workspace
+        ecg = _beats_config(tmp, cfg, four_class_beats(n_per_class=10, seed=3),
+                            "train.samples = -1\ntrain.label_fraction = 0.2\n")
+        assert run_cli("train", "--config", ecg, "--out", tmp / "out") == 0
+        response = np.array(json.loads((tmp / "out" / "labels.json").read_text())["response"])
+        assert response.any(axis=0).sum() > 1
+
 
 class TestEval:
     def test_eval_reproduces_train_end_accuracy(self, workspace):
@@ -367,6 +378,24 @@ def _train_on_beats_with_byte(tmp, cfg):
     return ["train", "--config", ecg, "--out", tmp / "x"]
 
 
+def _beats_config(tmp, cfg, beats, extra):
+    csv = tmp / "beats.csv"
+    write_beat_csv(csv, beats)
+    ecg = tmp / "ecg.cfg"
+    ecg.write_text(cfg.read_text() + f"data.dataset = ecg\ndata.ecg_csv = {csv}\n"
+                   f"topology.n_input = 251\n{extra}")
+    return ecg
+
+
+def _train_without_images(tmp, cfg):
+    from conftest import write_idx_images, write_idx_labels
+
+    write_idx_images(tmp / "mnist" / "train-images-idx3-ubyte",
+                     np.zeros((0, 28, 28), dtype=np.uint8))
+    write_idx_labels(tmp / "mnist" / "train-labels-idx1-ubyte", np.zeros(0))
+    return ["train", "--config", cfg, "--out", tmp / "x"]
+
+
 def _train_on_gzip_images(damage):
     def build(tmp, cfg):
         images = tmp / "mnist" / "train-images-idx3-ubyte"
@@ -405,6 +434,7 @@ BOUNDARY_CASES = {
     "idx-gzip-truncated": (2, "io error:", _train_on_gzip_images(
         lambda packed: bytes(packed[:len(packed) // 2]))),
     "idx-gzip-corrupt": (2, "io error:", _train_on_gzip_images(_corrupt_deflate)),
+    "idx-no-training-images": (2, "io error:", _train_without_images),
 }
 
 
@@ -485,6 +515,19 @@ REJECTED_UP_FRONT = {
     "train-n-exc-past-16-bits": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "topology.n_exc = 70000\n"),
     "sweep-n-exc-past-16-bits": _sweep("n_exc", "12,70000"),
+    # the text trace's key is gone, and unknown keys are errors
+    "train-write-text-trace": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "data.write_text_trace = true\n"),
+    # a test split of 4 of the 4 beats leaves labeling no sample
+    "train-test-fraction-takes-every-beat": lambda tmp, cfg: [
+        "train", "--config", _beats_config(tmp, cfg, four_class_beats(n_per_class=1),
+                                           "data.test_fraction = 0.9\n"),
+        "--out", tmp / "x"],
+    "sweep-test-fraction-takes-every-beat": lambda tmp, cfg: [
+        "sweep", "v_thresh", "4.0", "--config",
+        _beats_config(tmp, cfg, four_class_beats(n_per_class=1),
+                      "data.test_fraction = 0.9\n"),
+        "--out", tmp / "x"],
 }
 
 
@@ -501,12 +544,13 @@ def test_rejected_up_front_with_one_line(workspace, capsys, name):
 
 # sha256 of the artifacts of train on 20 test samples, so that label and eval
 # run frozen samples in lanes of 16 and 4; recorded from the engine that ran
-# one sample per call
+# one sample per call. Removing the text trace's key changed only the config
+# hash the artifacts embed (here and in the two tables below)
 LANE_TRAIN_DIGESTS = {
     "activations.csv": "ec52b644177c591fe09a645a6d7f1b8ce0f6f09f212672bb09c9652c50cde5e8",
-    "checkpoint.aern": "b2b1611a267661ea2dccceb1d9d7cd27d125aeac7f797d4c7db46d5c0cb173df",
-    "labels.json": "342acbbfe8c182b16e6ac6b2c4f443abeea20b980c89acb8c2f738eb863832dd",
-    "metrics.jsonl": "e96cbf5469daea91667896f8e336eb1b79e315bc94ef0493f3c3fc03e3a59d78",
+    "checkpoint.aern": "3359dfe26afea480c9529499810edc46f39bc68365db0e81a010d668023bb5ae",
+    "labels.json": "86f4a443be40140a63bfd40ba49665b050afa8b852c3ebd89fcff7a4e0e0a6d1",
+    "metrics.jsonl": "59050c0ad94ab2772ddea42559a22392a8dfd2be1ab3af3780e3b1810a07f548",
 }
 
 
@@ -529,9 +573,9 @@ def test_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
 # recorded from the engine that trained one sample per call
 FIXED_BATCH_TRAIN_DIGESTS = {
     "activations.csv": "e812796d05a5ae1f539b71400462827c8a13a32331dea3b5e1a2ef5f2090a4f4",
-    "checkpoint.aern": "e07ed974f7da046e9410208958dc55ea0fdcd294d1478732eb9f68b338fc85cb",
-    "labels.json": "137729cacd704f3c1438c7ce2f855abb74a1d5dc58218c82e95d5af18411e8f9",
-    "metrics.jsonl": "3d9b0cf10e1e96d9ae1e796bef84c875cfc872a1e326bc86d26d03bcd911da3c",
+    "checkpoint.aern": "f7eeff2ba736c78836caceff024b74bfeec97fc7d058a70411a95e7cf10eb0d8",
+    "labels.json": "10680056259148ae79441a01861e690c3629069e2e8846c2f383e331ffb44c3b",
+    "metrics.jsonl": "b6c202d828a3c136106c64f6d88f940435c665bac62182013e725f8bf1659ee7",
 }
 
 
@@ -554,7 +598,7 @@ def test_fixed_batch_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
 # recorded from the sweep that cast them with int()
 SWEEP_DIGESTS = {
     "metrics.csv": "8ec8e8aa238f02a8753d81c28360d425f49fe61f53a4f4f688a0015c0060ae23",
-    "metrics.jsonl": "be3c2c8686ac4511e06a9449c731bad3d9958259b86de35acec4eee8445acadf",
+    "metrics.jsonl": "84604d0360a04696a6405ef8b1a1082ff48e4bd849e00eaab62087f32db90288",
 }
 
 

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from aersnn.config import (
+    _KEY_MAP,
     ConfigError,
     RunConfig,
     canonical_text,
@@ -20,7 +23,7 @@ class TestParseConfig:
             lif.v_thresh = 2.5   # trailing comment
             numeric.mode = fixed
             engine.batch_size = 4
-            data.write_text_trace = true
+            engine.log_activations = true
             run.seed = 99
             """
         )
@@ -28,7 +31,7 @@ class TestParseConfig:
         assert cfg.v_thresh == 2.5
         assert cfg.mode == "fixed"
         assert cfg.batch_size == 4
-        assert cfg.write_text_trace is True
+        assert cfg.log_activations is True
         assert cfg.seed == 99
 
     def test_unknown_key_is_an_error(self):
@@ -107,6 +110,11 @@ class TestConfigHash:
         # canonical text parses back to the same config (minus seed)
         reparsed = parse_config(text)
         assert config_hash(reparsed) == config_hash(RunConfig())
+
+    def test_every_field_has_one_key(self):
+        # canonical_text, so config_hash, covers exactly the mapped keys: a
+        # field and its key are added or removed together
+        assert sorted(_KEY_MAP.values()) == sorted(f.name for f in fields(RunConfig))
 
 
 class TestDeriveSeed:

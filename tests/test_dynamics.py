@@ -92,28 +92,28 @@ class TestLeakState:
 class TestFireCheck:
     def test_below_threshold_unchanged(self):
         eng = neuron(v=LIF.v_thresh - 1e-9, x=0.5)
-        assert eng.fire_handler(0).size == 0
+        assert eng.fire_handler().size == 0
         assert state(eng) == (LIF.v_thresh - 1e-9, 0.5)
 
     def test_threshold_crossing_resets_and_bumps(self):
         eng = neuron(v=1.2, x=0.5)
-        assert eng.fire_handler(0).tolist() == [0]
+        assert eng.fire_handler().tolist() == [0]
         assert state(eng) == (LIF.v_rest, 1.5)
 
     def test_boundary_is_inclusive(self):
         eng = neuron(v=LIF.v_thresh)
-        assert eng.fire_handler(0).tolist() == [0]
+        assert eng.fire_handler().tolist() == [0]
 
     def test_idempotent_when_silent(self):
         eng = neuron(v=0.3, x=0.3)
         before = eng.store.copy()
-        for ts in (0, 1):
-            assert eng.fire_handler(ts).size == 0
+        for _ in range(2):
+            assert eng.fire_handler().size == 0
             assert eng.store.state_equal(before)
 
     def test_reset_is_exact(self):
         eng = neuron(v=7.77)
-        eng.fire_handler(0)
+        eng.fire_handler()
         assert eng.store.exc_v[0] == LIF.v_rest
 
 
@@ -146,7 +146,7 @@ class TestBumpTrace:
                 eng.integrate_handler(np.array([[0]]))
             elif op == "fire":
                 eng.store.exc_v[:] = LIF.v_thresh
-                eng.fire_handler(0)
+                eng.fire_handler()
             else:
                 eng.leak_handler()
             for x in (eng.store.input_x[0], eng.store.exc_x[0]):

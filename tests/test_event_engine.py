@@ -11,7 +11,6 @@ from aersnn.event_engine import (
     read_aer_file,
     write_activation_log,
     write_aer_file,
-    write_aer_text,
 )
 from aersnn.numerics import NumericSpec
 from aersnn.topology import TopologyParams, build_network
@@ -76,22 +75,19 @@ class TestPacketCodec:
         assert path.stat().st_size == 6 * 3
         assert np.array_equal(read_aer_file(path), packets)
 
-    def test_text_trace_file_round_trip(self, tmp_path):
-        packets = packet_array([3, 1], [0, 2])
-        path = tmp_path / "trace.txt"
-        write_aer_text(path, packets)
-        assert path.read_text() == "0,3\n2,1\n"
-
 
 class TestEventFifo:
     def test_overflow_raises(self):
-        # the output buffer drains every step and holds fifo_capacity packets
-        eng = make_engine(n_exc=3, fifo_capacity=2)
-        eng.store.exc_v[:] = [1.5, 1.5, 0.0]
-        assert eng.fire_handler(0).tolist() == [0, 1]
-        eng.store.exc_v[:] = 1.5
-        with pytest.raises(FifoOverflowError):
-            eng.fire_handler(1)
+        # the output buffer drains every step and holds fifo_capacity
+        # packets: input 0 fires two neurons at step 0, input 1 all three at
+        # step 1
+        eng = make_engine(n_input=2, n_exc=3, weights=[[1.5, 1.5, 0.0], [1.5, 1.5, 1.5]],
+                          w_inh=0.0, learning=False, fifo_capacity=2)
+        packets = packet_array([0, 1], [0, 1])
+        assert eng.run(packets[:1], stop_ts=1).outputs.neuron_id.tolist() == [0, 1]
+        with pytest.raises(FifoOverflowError) as info:
+            eng.run(packets, stop_ts=3)
+        assert str(info.value) == "3 neurons fired at step 1, output FIFO holds 2"
 
 
 class TestIntegrateHandler:
@@ -180,14 +176,14 @@ class TestFireHandler:
         eng = make_engine()
         eng.store.exc_v[:] = 0.99
         w_before = eng.store.w.tobytes()
-        assert eng.fire_handler(5).size == 0
+        assert eng.fire_handler().size == 0
         assert eng.store.w.tobytes() == w_before
 
     def test_single_fire_potentiates_own_column_only(self):
         eng = make_engine(n_input=2, n_exc=2, weights=[[0.5, 0.5], [0.5, 0.5]])
         eng.store.input_x[:] = [2.0, 0.0]
         eng.store.exc_v[:] = [1.2, 0.3]
-        out = eng.fire_handler(7)
+        out = eng.fire_handler()
         assert out.tolist() == [0]
         # column 0 gains alpha_pre * x_pre, column 1 untouched
         assert eng.store.w[:, 0].tolist() == [0.52, 0.5]
@@ -198,12 +194,12 @@ class TestFireHandler:
     def test_exact_threshold_fires(self):
         eng = make_engine()
         eng.store.exc_v[0] = 1.0
-        assert eng.fire_handler(0).tolist() == [0]
+        assert eng.fire_handler().tolist() == [0]
 
     def test_simultaneous_fires_ascending_and_mutual_inhibition(self):
         eng = make_engine(n_exc=3, w_inh=0.5)
         eng.store.exc_v[:] = [1.5, 0.0, 1.2]
-        out = eng.fire_handler(4)
+        out = eng.fire_handler()
         assert out.tolist() == [0, 2]
         assert eng.store.pending.tolist() == [0.5, 1.0, 0.5]
 
@@ -317,7 +313,7 @@ class TestRun:
         engines[1].integrate_handler(np.array([[1, 0]]))
         engines[1].integrate_handler(np.array([[1]]))
         engines[1].leak_handler()
-        engines[1].fire_handler(0)
+        engines[1].fire_handler()
         assert engines[0].store.state_equal(engines[1].store)
 
     def test_step_record_and_stats_count_by_hand(self):
@@ -361,7 +357,7 @@ class TestBatchedUpdates:
         gain = eng.store.input_x * eng.stdp.alpha_pre
         for times in (1, 2):
             eng.store.exc_v[list(fired)] = eng.lif.v_thresh
-            assert eng.fire_handler(0).tolist() == list(fired)
+            assert eng.fire_handler().tolist() == list(fired)
             for j in range(10):
                 expected = times * gain if j in fired else np.zeros(4)
                 assert eng._w_delta[:, j].tolist() == expected.tolist(), f"column {j}"

@@ -16,6 +16,7 @@ from aersnn.dynamics import LifParams
 from aersnn.encoders import Sample
 from aersnn.event_engine import EventEngine, FifoOverflowError, ProtocolError, packet_array
 from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
+from aersnn.plasticity import StdpParams
 from aersnn.topology import store_to_bytes
 
 from conftest import make_engine
@@ -171,6 +172,22 @@ def overflow_streams(overflow_at):
             for t in overflow_at]
 
 
+# lanes and engine settings of a call that overflows; a live-learning run
+# keeps w_max above the rows, so the learning runs fire as the frozen ones
+FAILING_RUNS = {
+    "1": (1, {}),
+    "3": (3, {}),
+    "1-live-learning": (1, dict(learning=True, stdp=StdpParams(0.01, 0.005, w_max=2.0))),
+    "3-fixed-accumulating": (3, dict(learning=True, numeric=Q8_8, accumulate_updates=True)),
+}
+
+
+def learned(engine):
+    """The bytes of the live weights and of the batched deltas, if any."""
+    delta = engine._w_delta
+    return engine.store.w.tobytes(), None if delta is None else delta.tobytes()
+
+
 class TestErrorOrder:
     @pytest.mark.parametrize("overflow_at", OVERFLOW_AT)
     def test_fifo_overflow_raises_for_the_lowest_overflowing_lane(self, overflow_at):
@@ -187,20 +204,33 @@ class TestErrorOrder:
         lowest = next(t for t in overflow_at if t is not None)
         assert lanes == f"3 neurons fired at step {lowest}, output FIFO holds 1"
 
-    @pytest.mark.parametrize("n_lanes", [1, 3])
-    def test_failing_run_leaves_the_store_as_it_was(self, n_lanes):
+    @pytest.mark.parametrize("name", list(FAILING_RUNS))
+    def test_failing_run_leaves_the_store_as_it_was(self, name):
         # every lane fires neuron 0 alone at step 1, then lane 0 overflows
         # at step 5 and lanes above it at step 7
-        engine = make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.5,
-                             learning=False, fifo_capacity=1)
-        engine.run(packet_array([1, 1], [0, 2]), stop_ts=3)
+        n_lanes, kwargs = FAILING_RUNS[name]
+        engines = [make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.5,
+                               fifo_capacity=capacity, **{"learning": False, **kwargs})
+                   for capacity in (1, 3)]
+        for engine in engines:
+            learning, engine.learning = engine.learning, False
+            engine.run(packet_array([1, 1], [0, 2]), stop_ts=3)
+            engine.learning = learning
+        engine = engines[0]
         before = [a.copy() for a in engine.store.arrays()[1:]]
         assert any(a.any() for a in before[1:])
+        learned_before = learned(engine)
         streams = [packet_array([1, 0], [1, 7 if lane else 5]) for lane in range(n_lanes)]
-        with pytest.raises(FifoOverflowError, match="at step 5"):
+        with pytest.raises(FifoOverflowError) as info:
             engine.run_lanes(streams, stop_ts=12)
+        assert str(info.value) == "3 neurons fired at step 5, output FIFO holds 1"
         for a, saved in zip(engine.store.arrays()[1:], before):
             assert a.tobytes() == saved.tobytes()
+        # a learning run keeps the updates of all its steps, as the same run
+        # with room for every fired neuron makes them
+        engines[1].run_lanes(streams, stop_ts=12)
+        assert learned(engine) == learned(engines[1])
+        assert (learned(engine) != learned_before) == engine.learning
 
     def test_bad_stream_raises_before_any_state_changes(self):
         engine = make_engine(n_input=4, n_exc=3, learning=False)

@@ -35,7 +35,7 @@ def ltp(eng, x_pre):
     """One firing with the input's trace at ``x_pre``."""
     eng.store.input_x[:] = x_pre
     eng.store.exc_v[:] = eng.lif.v_thresh
-    assert eng.fire_handler(0).tolist() == [0]
+    assert eng.fire_handler().tolist() == [0]
     return float(eng.store.w[0, 0])
 
 
@@ -151,6 +151,6 @@ class TestTracePairCorrespondence:
             for _ in range(gap):
                 eng.leak_handler()
             eng.store.exc_v[:] = eng.lif.v_thresh
-            eng.fire_handler(gap)
+            eng.fire_handler()
             got = float(eng.store.w[0, 0])
             assert abs(got - expected) / abs(expected) <= decay.decay
