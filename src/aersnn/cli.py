@@ -34,7 +34,9 @@ through the checkpointed network as one continuous stream (no per-sample
 resets, no classifier) and writes the emitted spikes, which is how a
 captured input recording is pushed through the processor model. The
 replay learns online unless ``--no-learning`` is given, and never saves
-the store.
+the store. It learns into the live weights spike by spike at any
+``engine.batch_size``: one stream has no sample batches after which
+accumulated updates could be folded in.
 """
 
 from __future__ import annotations
@@ -233,7 +235,9 @@ def cmd_train(args) -> int:
 
 def _replay_trace(args, cfg: RunConfig, cfg_hash: str) -> int:
     store = _load_checkpoint(args.checkpoint, cfg)
-    engine = build_engine(cfg, store)
+    # one stream has no sample batches to fold deltas after: it learns into
+    # the live weights whatever batch_size says
+    engine = build_engine(cfg.with_value("batch_size", 1), store)
     engine.learning = not args.no_learning
     try:
         packets = read_aer_file(cfg.aer_trace)

@@ -281,7 +281,8 @@ def run_experiment(cfg: RunConfig, train_samples: list[Sample],
     train_stats = {"samples": 0, "packets_in": 0, "packets_out": 0}
     if train_slice:
         train_stats = train_pass(engine, train_slice, cfg, learning=learning)
-    # labeling uses held-out tail samples of the training split, never test data
+    # labeling uses the tail of the training slice, samples the network has
+    # just trained on (not held out), and never test data
     label_base = train_slice if train_slice else train_samples
     n_label = max(1, int(round(len(label_base) * cfg.label_fraction)))
     labels = assign_labels(engine, label_base[-n_label:], cfg,

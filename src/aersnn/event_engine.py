@@ -84,9 +84,19 @@ numeric modes, because:
 * the input traces do not change within fire, so every fired column gets
   the same potentiation. The fired ids are ascending; when they form one
   range of consecutive ids (as when every neuron fires), the columns are
-  potentiated and clipped in place through one slice, otherwise through
-  one gather and scatter. Clips are two-sided, so weights loaded
-  from outside ``[w_min, w_max]`` are brought inside as the oracle does;
+  potentiated in place through one slice, otherwise through one gather
+  and scatter. Clips are two-sided, so weights loaded from outside
+  ``[w_min, w_max]`` are brought inside as the oracle does, and keep a
+  value equal to a bound as it is (``-0.0`` at a bound of ``0.0``), as
+  ``np.clip`` does;
+* a run that learns into the live weights from weights inside ``[w_min,
+  w_max]`` and input traces ``>= 0`` has only gains ``>= 0``, which can
+  push a weight above ``w_max`` but never below ``w_min``. It potentiates
+  unclipped and clips to ``w_max`` where integrate reads a row, and over
+  the store once at its end. Rounded (and integer) addition is monotone,
+  so for ``g1, g2 >= 0``, ``min(min(w + g1, M) + g2, M) == min(w + g1 +
+  g2, M)``: the weights equal those of a clip at every firing step, which
+  any other run, and a handler called outside a run, still does;
 * pending inhibition is zero at fire time, as the leak just cleared it.
   The credit k firings of a lane queue is then a function of k alone,
   tabulated once per engine for k = 0..n_exc and handed to
@@ -370,6 +380,8 @@ class EventEngine:
         self._inh_credit = inhibition_credit(store, topology.w_inh)
         # the rows a frozen run integrates
         self._frozen = None
+        # whether this run clips potentiated weights where they are read
+        self._defer = False
         self._bind_store()
 
     def _bind(self, *state: np.ndarray) -> None:
@@ -400,6 +412,9 @@ class EventEngine:
         else:
             # live-weight learning runs one lane: the store's rows as they are
             live = store.w[ids]
+            if self._defer:
+                # potentiation left them unclipped, and only above w_max
+                np.minimum(self._w_max, live, out=live)
             rows = ar.w_to_v(live)
         if self.learning:
             drop = ar.mul_w(self._ex, self._a_post)
@@ -452,16 +467,18 @@ class EventEngine:
 
     def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
         """Add ``gain`` to the fired columns of the live weights, clipped, or
-        of the batched deltas. Ascending fired ids that form one range of
-        consecutive ids are updated in place through a column slice, any
-        other set through one gather and scatter."""
-        clip = self._w_delta is None
-        target = self.store.w if clip else self._w_delta
+        of the batched deltas; a run that defers the clip (see
+        ``run_lanes``) leaves the live weights unclipped. Ascending fired
+        ids that form one range of consecutive ids are updated in place
+        through a column slice, any other set through one gather and
+        scatter."""
+        live = self._w_delta is None
+        target = self.store.w if live else self._w_delta
         lo, hi = int(fired[0]), int(fired[-1]) + 1
         one_range = hi - lo == fired.size
         cols = target[:, lo:hi] if one_range else target[:, fired]
         cols += gain
-        if clip:
+        if live and not self._defer:
             np.clip(cols, self._w_min, self._w_max, out=cols)
         if not one_range:
             target[:, fired] = cols
@@ -501,7 +518,16 @@ class EventEngine:
         fired in one step raises ``FifoOverflowError`` for its first such
         step. A call that raises leaves the store's voltages, traces and
         pending inhibition as they were at the call; a learning run that
-        overflows keeps the weight or delta updates of all its steps."""
+        overflows keeps the weight or delta updates of all its steps.
+
+        A run that learns into the live weights defers the potentiation
+        clip when, at the call, every weight is inside ``[w_min, w_max]``
+        and every input trace is ``>= 0``: every gain is then ``>= 0``
+        (``alpha_pre > 0``, and traces stay ``>= 0``), and as rounded (or
+        integer) addition is monotone, a clip to ``w_max`` where integrate
+        reads a row and one over the store when the run ends, before any
+        error is raised, give the weights a clip at every firing step
+        gives. Any other store is clipped at every firing step."""
         n_lanes = len(streams)
         if self.learning and n_lanes > 1 and not self.learns_in_lanes:
             raise ValueError("learning runs one lane at a time unless updates accumulate "
@@ -512,6 +538,10 @@ class EventEngine:
         steps, runs = _plan_lanes(streams, stop_ts, store.n_input)
         # one more input trace per lane takes the pad id's bumps
         v, ex, ix, pend = store.arrays()[1:]
+        w = store.w
+        self._defer = bool(self.learning and self._w_delta is None
+                           and w.min() >= self._w_min and w.max() <= self._w_max
+                           and ix.min() >= 0)
         state = [np.repeat(a[None], n_lanes, axis=0) for a in (v, ex, np.append(ix, 0), pend)]
         self._bind(*state)
         # weights a run does not change are read from a copy with a pad row,
@@ -531,6 +561,9 @@ class EventEngine:
         finally:
             self._frozen = None
             self._bind_store()
+            if self._defer:
+                self._defer = False
+                np.minimum(self._w_max, w, out=w)
 
         # the lanes' packets can be many: the plan goes first, and the fired
         # ids are held once

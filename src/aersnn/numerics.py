@@ -274,8 +274,11 @@ def leak_toward(v, rest, p: DecayParams):
 
 
 def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.clip`` without its per-call checks."""
-    return np.minimum(np.maximum(raw, lo, out=out), hi, out=out)
+    """``np.clip`` without its per-call checks. Like ``np.clip`` it keeps
+    a value equal to a bound as it is: ``-0.0`` stays ``-0.0`` at a bound
+    of ``0.0``. numpy returns the second operand of a tie, which its docs
+    do not promise; the float oracle tests check it."""
+    return np.minimum(hi, np.maximum(lo, raw, out=out), out=out)
 
 
 def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:

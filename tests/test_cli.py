@@ -269,6 +269,30 @@ class TestEncode:
         result = engine.run(packets, stop_ts=int(packets.timestamp.max()) + 1)
         assert np.array_equal(read_aer_file(rp / "replay_output.aer"), result.outputs)
 
+    def test_learning_replay_learns_at_any_batch_size(self, workspace):
+        # a replay is one stream: it learns into the live weights, so
+        # batch_size, which batches the samples of train, changes nothing.
+        # At the tiny config's rate every neuron fires every step, whatever
+        # the weights; at a lower rate learning changes the spikes.
+        tmp, cfg = workspace
+        cfg.write_text(cfg.read_text().replace("encoder.max_rate = 0.4",
+                                               "encoder.max_rate = 0.1"))
+        out, enc = tmp / "out", tmp / "enc"
+        assert run_cli("train", "--config", cfg, "--out", out) == 0
+        assert run_cli("encode", "--config", cfg, "--out", enc) == 0
+        replays = {}
+        for batch_size, learning in ((1, True), (4, True), (4, False)):
+            replay_cfg = tmp / f"replay-{batch_size}.cfg"
+            replay_cfg.write_text(cfg.read_text() + f"engine.batch_size = {batch_size}\n"
+                                  f"data.aer_trace = {enc / 'trace.aer'}\n")
+            rp = tmp / f"replay-{batch_size}-{learning}"
+            flags = [] if learning else ["--no-learning"]
+            assert run_cli("eval", "--config", replay_cfg, "--out", rp,
+                           "--checkpoint", out / "checkpoint.aern", *flags) == 0
+            replays[batch_size, learning] = (rp / "replay_output.aer").read_bytes()
+        assert replays[4, True] != replays[4, False]
+        assert replays[4, True] == replays[1, True]
+
 
 class TestReplayProtocol:
     def test_decreasing_timestamps_exit_3(self, workspace):

@@ -231,6 +231,11 @@ class TestErrorOrder:
         engines[1].run_lanes(streams, stop_ts=12)
         assert learned(engine) == learned(engines[1])
         assert (learned(engine) != learned_before) == engine.learning
+        if engine.learning and engine._w_delta is None:
+            # potentiation took columns at w_max past it, which the run
+            # clips at its end, before it raises
+            w = engine.store.w
+            assert engine._w_min <= w.min() and w.max() == engine._w_max
 
     def test_bad_stream_raises_before_any_state_changes(self):
         engine = make_engine(n_input=4, n_exc=3, learning=False)

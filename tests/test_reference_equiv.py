@@ -212,3 +212,81 @@ class TestEngineMatchesDense:
                           seed=int(rng.integers(0, 2**31))),
                 label=f"paper density case {case}",
             )
+
+    @pytest.mark.parametrize("w_min, w_max", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_signed_zero_weights_keep_their_sign(self, w_min, w_max):
+        # -0.0 weights sit on a bound of 0.0: the oracle's np.clip keeps
+        # them as they are, and so must depression's clip, the clip of the
+        # rows integrate reads and the clip at the end of the run. Inputs
+        # 0-29 spike twice, 30-39 never; no neuron fires.
+        lif = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=10.0, dt=1.0)
+        trace = TraceParams(tau_x=5.0, alpha=1.0, x_max=3.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.1, alpha_post=0.1, w_min=w_min, w_max=w_max)
+        topology = TopologyParams(n_input=40, n_exc=40, w_inh=0.4)
+        grid = np.zeros((3, 40), dtype=bool)
+        grid[:2, :30] = True
+        stores = [build_network(topology, stdp, seed=2) for _ in range(2)]
+        for store in stores:
+            store.w[:] = -0.0
+        outputs, both = run_both_on(*stores, lif, trace, stdp, topology, grid)
+        assert outputs.size == 0
+        assert_bit_identical(*both, label="signed zero")
+        assert np.signbit(stores[0].w).all()
+
+    def test_potentiation_past_w_max_then_depression(self):
+        # weights at and just below w_max: inputs 0-2 make every neuron
+        # fire in steps 0-4, each firing potentiating every column past
+        # w_max, inputs 3-5 fire only from step 5 on, so their rows are
+        # read and depressed after five potentiations
+        lif = LifParams(v_rest=0.0, v_thresh=0.8, tau_v=10.0, dt=1.0)
+        trace = TraceParams(tau_x=5.0, alpha=1.0, x_max=3.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.05, alpha_post=0.02)
+        topology = TopologyParams(n_input=6, n_exc=4, w_inh=0.1)
+        grid = np.zeros((9, 6), dtype=bool)
+        grid[:5, :3] = True
+        grid[5:, 3:] = True
+        stores = [build_network(topology, stdp, seed=6) for _ in range(2)]
+        for store in stores:
+            store.w[:] = np.linspace(0.97, 1.0, store.w.size).reshape(store.w.shape)
+            store.input_x[3:] = [0.5, 1.0, 2.0]
+        outputs, both = run_both_on(*stores, lif, trace, stdp, topology, grid)
+        assert np.unique(outputs.timestamp[outputs.neuron_id == 0]).size >= 5
+        assert_bit_identical(*both, label="past w_max")
+        assert (stores[0].w == 1.0).any() and stores[0].w.max() <= 1.0
+
+    def test_negative_input_trace_potentiates_below_w_min(self):
+        # a store whose input 0 has a negative trace (not one this engine
+        # makes): every neuron fires at step 0, before any input, and
+        # potentiation pulls row 0 below w_min; input 0 never spikes, so
+        # only the clip at each firing brings it back
+        lif = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=10.0, dt=1.0)
+        trace = TraceParams(tau_x=5.0, alpha=1.0, x_max=3.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.1, alpha_post=0.05)
+        topology = TopologyParams(n_input=5, n_exc=3, w_inh=0.2)
+        grid = np.zeros((6, 5), dtype=bool)
+        grid[2:, 1:] = True
+        stores = [build_network(topology, stdp, seed=8) for _ in range(2)]
+        for store in stores:
+            store.w[0] = 0.01
+            store.w[1:] = 0.98
+            store.input_x[:] = [-2.0, 0.5, 1.0, 1.5, 2.0]
+            store.exc_v[:] = 5.0
+        outputs, both = run_both_on(*stores, lif, trace, stdp, topology, grid)
+        assert outputs.neuron_id[outputs.timestamp == 0].tolist() == [0, 1, 2]
+        assert_bit_identical(*both, label="negative trace")
+        assert (stores[0].w[0] == 0.0).all() and stores[0].w.max() <= 1.0
+
+    def test_fire_handler_outside_a_run_clips(self):
+        # a handler called outside a run potentiates the store's weights
+        # and clips them at once, as no run end follows
+        engine = make_engine(n_input=4, n_exc=3, weights=np.full((4, 3), 0.99))
+        store = engine.store
+        store.input_x[:] = [0.0, 0.5, 1.0, 2.0]
+        store.exc_v[:] = [5.0, 0.0, 5.0]
+        fired = engine.fire_handler()
+        assert fired.tolist() == [0, 2]
+        want = np.full((4, 3), 0.99)
+        want[:, [0, 2]] = np.clip(0.99 + engine.stdp.alpha_pre * store.input_x[:, None],
+                                  engine.stdp.w_min, engine.stdp.w_max)
+        assert store.w.tobytes() == want.tobytes()
+        assert store.w.max() == engine.stdp.w_max
