@@ -92,7 +92,8 @@ def poisson_encode(sample: Sample, p: EncoderParams) -> np.recarray:
     rng = np.random.default_rng(p.seed)
     draws = rng.random((p.timesteps, features.size))
     grid = draws < features * p.max_rate
-    ts, ids = np.nonzero(grid)
+    # flat indices ascend in row-major order: by timestamp, then id
+    ts, ids = np.divmod(np.flatnonzero(grid), features.size)
     return packet_array(ids, ts)
 
 

@@ -61,9 +61,9 @@ Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
 numeric modes, because:
 
-* the voltage sum adds the rows ``v, w[i1], w[i2], ...`` one at a time, in
-  stream order: a reduction down the rows of a C-ordered stack, or a
-  cumulative sum, never regroups them;
+* the float voltage sum adds the rows ``v, w[i1], w[i2], ...`` one at a
+  time, in stream order: a reduction down the rows of a C-ordered stack,
+  or a cumulative sum, never regroups them;
 * with learning off, or with the updates accumulating, the weights are
   frozen within a run, so it reads its rows from one C-ordered copy,
   converted once to the voltage format in fixed mode, however many lanes
@@ -76,9 +76,12 @@ numeric modes, because:
 * the post-synaptic traces do not change within integrate, so every row
   gets the same depression: it is subtracted from the rows gathered for
   the voltage sum, and the result is clipped and scattered back once;
-* fixed-point adds saturate. When no prefix of the cumulative sum leaves
-  the voltage format, no add saturated and the last prefix is the result;
-  otherwise that lane falls back to sequential saturating adds;
+* fixed-point adds saturate. A prefix ``v + w[i1] + ... + w[ik]`` of K
+  rows is at least the lowest voltage plus K times the lowest row entry
+  (if negative) and at most the highest voltage plus K times the highest
+  (if positive). When both bounds are inside the voltage format no add
+  saturated, and one exact int64 reduction is the result; otherwise the
+  rows are added one at a time, each add saturating;
 * a run of distinct ids reads each row once, so a repeated id, which
   the run puts in the next run, sees its depressed row;
 * the input traces do not change within fire, so every fired column gets
@@ -362,8 +365,9 @@ class EventEngine:
         self.fifo_capacity = fifo_capacity
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
-        # the batched weight deltas, if updates accumulate
-        self._w_delta = np.zeros_like(store.w) if accumulate_updates else None
+        # the batched weight deltas, if updates accumulate: C-ordered, as
+        # depression gathers and scatters their rows
+        self._w_delta = np.zeros(store.w.shape, store.w.dtype) if accumulate_updates else None
 
         ar = self.arith = store.arith
         self._decay_v = ar.coef(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)

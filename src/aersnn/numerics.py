@@ -7,9 +7,9 @@ modes:
   dense simulator and all oracle tests run here.
 * ``fixed`` mode: two's-complement integer mantissas in a declared Q-format,
   modeling the hardware datapath. Additions saturate at the format bounds
-  (never wrap), multiplications truncate toward zero (shift-based divider
-  idiom), and real-to-fixed conversion rounds to nearest with ties away
-  from zero.
+  (never wrap), multiplications truncate toward zero (the hardware's
+  shift; arrays scale by an exact power of two in float64), and
+  real-to-fixed conversion rounds to nearest with ties away from zero.
 
 The per-step leak is the iterative form
 
@@ -282,11 +282,12 @@ def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = Non
 
 
 def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:
-    if shift <= 0:
-        return product << (-shift)
-    # arithmetic shifts floor; adding 2**shift - 1 to negatives (the sign
-    # mask selects them) turns the floor into truncation toward zero
-    return (product + ((product >> 63) & ((1 << shift) - 1))) >> shift
+    """``product * 2**-shift`` truncated toward zero, exact for ``|product|
+    < 2**53`` and results inside int64: float64 holds such ints exactly, a
+    power-of-two scale keeps the significand and ``astype`` truncates.
+    Engine products are below ``2**49``: mantissas and their differences
+    below ``2**33`` times coefficients below ``2**16``."""
+    return (product * 2.0 ** -shift).astype(np.int64)
 
 
 def quantize_array(values: np.ndarray, fmt: QFormat) -> np.ndarray:
@@ -412,19 +413,17 @@ class FixedArithmetic:
         """Saturating ``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in
         place, for every lane b of the ``(lanes, n)`` voltages; the rows
         are in the voltage format (``w_to_v``)."""
-        # int64 sums are exact, so prefix k is v + rows[0] + ... + rows[k]
-        prefix = np.cumsum(rows, axis=1)
-        prefix += v[:, None]
-        # no prefix out of range means no add of that lane saturated; a lane
-        # that saturated adds its rows again one at a time
-        if prefix.min() < self.v_min or prefix.max() > self.v_max:
-            over = ((prefix < self.v_min) | (prefix > self.v_max)).any(axis=(1, 2))
-            for lane in np.flatnonzero(over):
-                x = prefix[lane, -1]
-                x[:] = v[lane]
-                for row in rows[lane]:
-                    saturate_raw(x + row, self.v_min, self.v_max, out=x)
-        v[:] = prefix[:, -1]
+        # every prefix v + rows[0] + ... + rows[k] of the K rows lies in
+        # [v.min() + K * min(rows.min(), 0), v.max() + K * max(rows.max(), 0)]:
+        # inside the format no add saturates, and one int64 sum is exact
+        n_rows = rows.shape[1]
+        if (v.min() + n_rows * min(rows.min(), 0) >= self.v_min
+                and v.max() + n_rows * max(rows.max(), 0) <= self.v_max):
+            v += np.add.reduce(rows, axis=1)
+            return
+        # otherwise add the rows one at a time, saturating each add
+        for k in range(n_rows):
+            saturate_raw(v + rows[:, k], self.v_min, self.v_max, out=v)
 
     def repeated_sums(self, amount: int, n: int) -> np.ndarray:
         # saturating adds of a nonnegative amount sum to min(total, top), so

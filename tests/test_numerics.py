@@ -119,6 +119,90 @@ class TestFixedArithmetic:
             assert Q8_8.raw_min <= result.raw <= Q8_8.raw_max
 
 
+Q4_4 = QFormat(4, 4)
+Q4_4_ARITH = NumericSpec(mode="fixed", v_format=Q4_4).arithmetic
+
+
+def add_rows_by_scalars(v, rows, fmt):
+    """Lane b, column j: ``v[b, j]`` then ``rows[b, 0, j], rows[b, 1, j],
+    ...`` added one at a time by the scalar saturating ``fixed_add``."""
+    out = v.copy()
+    for b, j in np.ndindex(v.shape):
+        x = Fixed(int(v[b, j]), fmt)
+        for r in rows[b, :, j].tolist():
+            x = fixed_add(x, Fixed(r, fmt))
+        out[b, j] = x.raw
+    return out
+
+
+@st.composite
+def lane_rows(draw, fmt=Q4_4):
+    """``(lanes, n)`` voltages and ``(lanes, K, n)`` rows of 1-16 lanes in
+    ``fmt``; a lane's rows past its own count are pad rows of 0. Entries
+    are at most ``spread`` from 0, voltages anywhere or within a few rows
+    of a rail."""
+    lanes, k, n = draw(st.integers(1, 16)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    spread = draw(st.sampled_from([2, 12, fmt.raw_max]))
+    gap = draw(st.integers(0, 4 * spread))
+    lo, hi = draw(st.sampled_from([
+        (fmt.raw_min, fmt.raw_max),
+        (min(fmt.raw_min + gap, fmt.raw_max), min(fmt.raw_min + gap + spread, fmt.raw_max)),
+        (max(fmt.raw_max - gap - spread, fmt.raw_min), max(fmt.raw_max - gap, fmt.raw_min)),
+    ]))
+    v = np.array(draw(st.lists(st.integers(lo, hi), min_size=lanes * n, max_size=lanes * n)),
+                 dtype=np.int64).reshape(lanes, n)
+    entry = st.integers(max(-spread, fmt.raw_min), spread)
+    rows = np.array(draw(st.lists(entry, min_size=lanes * k * n, max_size=lanes * k * n)),
+                    dtype=np.int64).reshape(lanes, k, n)
+    for b, used in enumerate(draw(st.lists(st.integers(1, k), min_size=lanes,
+                                           max_size=lanes))):
+        rows[b, used:] = 0
+    return v, rows
+
+
+class TestAddRows:
+    def check(self, v, rows):
+        want = add_rows_by_scalars(v, rows, Q4_4)
+        Q4_4_ARITH.add_rows(v, rows.copy())
+        assert v.tolist() == want.tolist()
+
+    @staticmethod
+    def bound_holds(v, rows):
+        k = rows.shape[1]
+        return (v.min() + k * min(rows.min(), 0) >= Q4_4.raw_min
+                and v.max() + k * max(rows.max(), 0) <= Q4_4.raw_max)
+
+    @given(lane_rows())
+    def test_matches_scalar_saturating_adds(self, case):
+        self.check(*case)
+
+    def test_no_saturation_sums_in_one_reduction(self):
+        v = np.array([[100, -100, 0], [-110, 110, 5]], dtype=np.int64)
+        rows = np.array([[[3, -2, 1], [-2, 2, 0], [0, 0, 0]],
+                         [[2, -1, -3], [1, 1, 1], [2, -2, 0]]], dtype=np.int64)
+        assert self.bound_holds(v, rows)
+        self.check(v, rows)
+
+    def test_sums_that_hit_either_rail(self):
+        # lane 0 climbs to the top rail and comes down, lane 1 falls to the
+        # bottom rail and comes up, lane 2 needs no saturation
+        v = np.array([[120], [-120], [0]], dtype=np.int64)
+        rows = np.array([[[10], [10], [-5]], [[-10], [-10], [5]], [[1], [-1], [0]]],
+                        dtype=np.int64)
+        assert not self.bound_holds(v, rows)
+        self.check(v, rows)
+        assert v[:, 0].tolist() == [Q4_4.raw_max - 5, Q4_4.raw_min + 5, 0]
+
+    @pytest.mark.parametrize("start, step", [(-110, -10), (110, 10)])
+    def test_every_row_counts_toward_the_bound(self, start, step):
+        # one row alone stays inside the format, the two together do not
+        v = np.array([[start]], dtype=np.int64)
+        rows = np.array([[[step], [step]]], dtype=np.int64)
+        assert not self.bound_holds(v, rows)
+        self.check(v, rows)
+        assert v[0, 0] in (Q4_4.raw_min, Q4_4.raw_max)
+
+
 class TestDecayParams:
     def test_rejects_overshooting_step(self):
         with pytest.raises(ValueError):
@@ -238,13 +322,28 @@ class TestRawArrayKernels:
         for raw, got in zip(raws, out):
             assert got == leak_toward(Fixed(int(raw), Q8_8), rest, p).raw
 
-    @given(st.lists(st.one_of(st.integers(-(2**40), 2**40),
-                              st.sampled_from([-(2**40), -1, 0, 1, 2**40])),
-                    min_size=1, max_size=20),
-           st.integers(min_value=-3, max_value=30))
-    def test_trunc_shift_matches_scalar(self, products, shift):
+    @given(st.integers(min_value=-17, max_value=31), st.data())
+    def test_trunc_shift_matches_scalar(self, shift, data):
+        # the documented domain: |product| <= 2**52, and a left shift's
+        # result inside int64
+        top = min(2**52, 2**(62 + shift))
+        products = data.draw(st.lists(st.one_of(st.integers(-top, top),
+                                                st.sampled_from([-top, -1, 0, 1, top])),
+                                      min_size=1, max_size=20))
         got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
         assert got.tolist() == [_trunc_shift_int(p, shift) for p in products]
+
+    @pytest.mark.parametrize("top, shifts", [
+        # a difference of two 32-bit mantissas times a 16-bit coefficient
+        ((2**33 - 1) * (2**16 - 1), range(32)),
+        # the documented domain's edge, left shifts staying inside int64
+        (2**52, range(-10, 0)),
+    ], ids=["extreme-engine-operands", "domain-edge-left-shifts"])
+    def test_trunc_shift_at_the_edges(self, top, shifts):
+        products = [-top, -top + 1, top - 1, top]
+        for shift in shifts:
+            got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
+            assert got.tolist() == [_trunc_shift_int(p, shift) for p in products], shift
 
     @given(st.sampled_from([(WEIGHT_FORMAT, VOLTAGE_FORMAT), (VOLTAGE_FORMAT, WEIGHT_FORMAT),
                             (Q8_8, QFormat(3, 8)), (QFormat(3, 8), Q8_8)]),
