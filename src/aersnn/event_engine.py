@@ -39,11 +39,17 @@ lanes equal the streams run one by one through ``run`` from that state;
 outside a run the lane state is one lane of views of the store's arrays. A
 learning run takes more than one lane only when its updates accumulate and
 the store's arithmetic sums them exactly (``learns_in_lanes``: fixed mode):
-the lanes then read the same frozen weights and add their depressions and
-potentiations into one delta buffer, lane after lane, where int64 adds
-give the same sums in any order. Float deltas would round differently in
-another order, so a float learning run, and one that updates the live
-weights, runs one lane. Every stream is checked before any state
+the lanes then read the same frozen weights, and int64 adds give the
+same delta sums in any order. Such a run, one lane included, records every
+update as a rank-1 row pair per lane: a depression as a -1 indicator over
+the lane's integrated ids times its drop, a potentiation as its gains
+times its 0/1 fired row. It folds the records into the delta buffer with
+one product (``numerics.fold_rank1_raw``) whenever the next rows would
+not fit in ``RECORD_ROWS``, and once more when it ends, also when it
+raises. Float deltas would round
+differently in another order, so a float learning run, and one that
+updates the live weights, runs one lane and updates at every step, as do
+handlers called outside a run. Every stream is checked before any state
 changes, the lowest bad lane raising; a FIFO overflow raises for the
 lowest lane that overflows, as run one by one it would come first.
 
@@ -85,8 +91,9 @@ numeric modes, because:
 * a run of distinct ids reads each row once, so a repeated id, which
   the run puts in the next run, sees its depressed row;
 * the input traces do not change within fire, so every fired column gets
-  the same potentiation. The fired ids are ascending; when they form one
-  range of consecutive ids (as when every neuron fires), the columns are
+  the same potentiation: a rank-1 record in a run that learns in lanes.
+  Otherwise the fired ids are ascending; when they form one range of
+  consecutive ids (as when every neuron fires), the columns are
   potentiated in place through one slice, otherwise through one gather
   and scatter. Clips are two-sided, so weights loaded from outside
   ``[w_min, w_max]`` are brought inside as the oracle does, and keep a
@@ -119,7 +126,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LifParams, TraceParams
-from .numerics import DecayParams, saturate_raw
+from .numerics import DecayParams, fold_rank1_raw, fold_work, saturate_raw
 from .plasticity import StdpParams
 from .topology import (
     StateStore,
@@ -150,6 +157,11 @@ PACKET_BYTES = PACKET_DTYPE.itemsize  # 6
 # one row per timestep of a run: packets that arrived, packets integrated
 # (the rest were dropped) and neurons fired
 STEP_DTYPE = np.dtype([("packets_in", "<i8"), ("integrated", "<i8"), ("fired", "<i8")])
+# the rank-1 update records a run that learns in lanes folds at a time: 32
+# to 128 rows train 4-lane 251x100 fixed batches equally fast on a 2-core
+# x86_64 host, and 64 rows of 251 + 1 inputs and 100 neurons take 0.18 MB,
+# their fold's work arrays 0.58 MB
+RECORD_ROWS = 64
 
 
 class EngineError(Exception):
@@ -336,7 +348,9 @@ class EventEngine:
     weights until ``apply_accumulated_updates``, which ``evaluator``'s
     sample driver calls after each learning batch. Then the weights stay
     frozen within a batch, and where the arithmetic sums exactly (fixed
-    mode) the samples of a batch may learn in lanes of one ``run_lanes``.
+    mode) the samples of a batch may learn in lanes of one ``run_lanes``,
+    which collects the updates as rank-1 records and folds them into the
+    side buffer by the block.
     """
 
     def __init__(
@@ -366,7 +380,7 @@ class EventEngine:
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
         # the batched weight deltas, if updates accumulate: C-ordered, as
-        # depression gathers and scatters their rows
+        # one-lane depression gathers and scatters their rows
         self._w_delta = np.zeros(store.w.shape, store.w.dtype) if accumulate_updates else None
 
         ar = self.arith = store.arith
@@ -386,6 +400,11 @@ class EventEngine:
         self._frozen = None
         # whether this run clips potentiated weights where they are read
         self._defer = False
+        # the rank-1 update records of a run that learns in lanes (left and
+        # right factors, and the work arrays of their fold), and how many
+        # rows of them are filled
+        self._records = None
+        self._n_records = 0
         self._bind_store()
 
     def _bind(self, *state: np.ndarray) -> None:
@@ -422,16 +441,21 @@ class EventEngine:
             rows = ar.w_to_v(live)
         if self.learning:
             drop = ar.mul_w(self._ex, self._a_post)
-            if self._w_delta is None:
+            if self._records is not None:
+                # per lane -1 at its ids, whose offsets are the records'
+                # row stride (the pad ids fall in the pad column), times
+                # its drop
+                left, right = self._record(len(ids))
+                left.reshape(-1)[ids] = -1
+                right[:] = drop
+            elif self._w_delta is None:
                 # the gathered rows go back depressed before add_rows
                 # overwrites them
                 depressed = live - drop
                 store.w[ids] = saturate_raw(depressed, self._w_min, self._w_max, out=depressed)
             else:
-                # a lane's ids are distinct, but lanes share ids: lane by
-                # lane, without the pad ids, which have no row
-                for lane_ids, lane_drop in zip(ids % (store.n_input + 1), drop):
-                    self._w_delta[lane_ids[lane_ids < store.n_input]] -= lane_drop
+                # one lane, which has no pad ids
+                self._w_delta[ids[0]] -= drop[0]
         ar.add_rows(self._v, rows)
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
@@ -455,15 +479,18 @@ class EventEngine:
         crossed = self._v >= self._thresh
         fired = np.flatnonzero(crossed)
         if fired.size:
-            k = queue_inhibition(self.store, crossed, self._inh_credit, self._pend)
+            queue_inhibition(self.store, crossed, self._inh_credit, self._pend)
             if self.learning:
-                # lane by lane, each its fired ids and its input traces
-                gain = self.arith.mul_w(self._ix[:, :self.store.n_input, None], self._a_pre)
-                lo = 0
-                for lane, n in enumerate(k[:, 0].tolist()):
-                    if n:
-                        self._potentiate(fired[lo:lo + n] - lane * self.store.n_exc, gain[lane])
-                        lo += n
+                if self._records is not None:
+                    # per lane its gains (the pad column's is dropped) times
+                    # its fired indicator
+                    left, right = self._record(len(crossed))
+                    left[:] = self.arith.mul_w(self._ix, self._a_pre)
+                    right[:] = crossed
+                else:
+                    # one lane, whose fired indices are its neuron ids
+                    gain = self.arith.mul_w(self._ix[0, :self.store.n_input, None], self._a_pre)
+                    self._potentiate(fired, gain)
             self._vf[fired] = self._rest
             ex = self._exf
             ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
@@ -486,6 +513,26 @@ class EventEngine:
             np.clip(cols, self._w_min, self._w_max, out=cols)
         if not one_range:
             target[:, fired] = cols
+
+    def _record(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` rows of the left and right factors of the run's
+        records, after folding the filled rows if these would not fit. The
+        left rows are zero."""
+        left, right, _ = self._records
+        if self._n_records + n > len(left):
+            self._fold_records()
+        lo = self._n_records
+        self._n_records = lo + n
+        return left[lo:lo + n], right[lo:lo + n]
+
+    def _fold_records(self) -> None:
+        """Add the filled records' outer products to ``_w_delta``, without
+        the left factors' pad column, and clear them."""
+        left, right, work = self._records
+        n = self._n_records
+        fold_rank1_raw(self._w_delta, left[:n, :self.store.n_input], right[:n], work)
+        left[:n] = 0
+        self._n_records = 0
 
     @property
     def learns_in_lanes(self) -> bool:
@@ -555,6 +602,13 @@ class EventEngine:
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):
                 self._frozen[lo:min(lo + 64, store.n_input)] = ar.w_to_v(store.w[lo:lo + 64])
+        if self.learning and self.learns_in_lanes:
+            # a handler call records one row of each factor per lane, so
+            # the records take at least one call
+            rows = max(RECORD_ROWS, n_lanes)
+            self._records = (np.zeros((rows, store.n_input + 1), np.int64),
+                             np.zeros((rows, store.n_exc), np.int64),
+                             fold_work(rows, store.n_input, store.n_exc))
         fired_per_step = []
         try:
             for t in range(stop_ts):
@@ -563,6 +617,9 @@ class EventEngine:
                 self.leak_handler()
                 fired_per_step.append(self.fire_handler())
         finally:
+            if self._records is not None:
+                self._fold_records()
+                self._records = None
             self._frozen = None
             self._bind_store()
             if self._defer:

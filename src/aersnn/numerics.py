@@ -57,6 +57,8 @@ __all__ = [
     "quantize_array",
     "convert_raw_array",
     "trunc_shift_raw",
+    "fold_work",
+    "fold_rank1_raw",
 ]
 
 
@@ -288,6 +290,41 @@ def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:
     Engine products are below ``2**49``: mantissas and their differences
     below ``2**33`` times coefficients below ``2**16``."""
     return (product * 2.0 ** -shift).astype(np.int64)
+
+
+def fold_work(rows: int, m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The float64 ``(rows, m)``, ``(rows, n)`` and ``(m, n)`` and the int64
+    ``(m, n)`` arrays ``fold_rank1_raw`` works in, for folds of up to
+    ``rows`` rows into an ``(m, n)`` delta."""
+    return (np.empty((rows, m)), np.empty((rows, n)), np.empty((m, n)),
+            np.empty((m, n), np.int64))
+
+
+def fold_rank1_raw(delta: np.ndarray, left: np.ndarray, right: np.ndarray,
+                   work: tuple[np.ndarray, ...] | None = None) -> None:
+    """``delta += left.T @ right`` in place, for int64 ``(rows, m)`` ``left``
+    and ``(rows, n)`` ``right`` of which, in every row, one is a 0/±1
+    indicator: the int64 adds of the rows' outer products, in any order.
+    Each cell then sums at most ``rows`` integers no larger in magnitude
+    than ``top``, the largest in either array, so while ``rows * top <
+    2**53`` every partial sum of a float64 product is an exact integer,
+    in whatever order the GEMM takes them; otherwise an int64 product,
+    which wraps as the int64 adds do. The float path works in the arrays
+    of ``work`` (``fold_work``), allocated if none are given: a caller
+    that folds often passes the same ones, as temporaries of this size
+    come from fresh pages at every fold."""
+    rows = len(left)
+    top = max(int(left.max(initial=0)), -int(left.min(initial=0)),
+              int(right.max(initial=0)), -int(right.min(initial=0)))
+    if rows * top >= 2**53:
+        delta += left.T @ right
+        return
+    lf, rf, product, exact = work or fold_work(rows, *delta.shape)
+    np.copyto(lf[:rows], left)
+    np.copyto(rf[:rows], right)
+    np.matmul(lf[:rows].T, rf[:rows], out=product)
+    np.copyto(exact, product, casting="unsafe")
+    delta += exact
 
 
 def quantize_array(values: np.ndarray, fmt: QFormat) -> np.ndarray:

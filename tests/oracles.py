@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from aersnn.config import STREAM_TRAIN, derive_seed
 from aersnn.encoders import poisson_encode
+from aersnn.event_engine import _plan_lanes
 from aersnn.topology import reset_for_sample
 
 
@@ -80,6 +81,20 @@ def run_one_by_one(engine, streams, stop_ts: int) -> list:
             state[:] = saved
         results.append(engine.run(packets, stop_ts))
     return results
+
+
+def step_by_handlers(engine, packets, stop_ts: int) -> None:
+    """Reference for the updates of a run: the stream through the handlers
+    called outside a run, one timestep at a time, on the store's state.
+    Such calls update the live weights or the batched deltas at every
+    step, where a run that learns in lanes records them and folds the
+    records by the block."""
+    _, runs = _plan_lanes([packets], stop_ts, engine.store.n_input)
+    for t in range(stop_ts):
+        for ids in runs[t]:
+            engine.integrate_handler(ids)
+        engine.leak_handler()
+        engine.fire_handler()
 
 
 def train_one_by_one(engine, samples, cfg) -> dict:

@@ -22,6 +22,7 @@ from conftest import (
     grid_to_packets,
     make_engine,
 )
+from test_engine_pins import Q8_8
 
 
 class TestConstruction:
@@ -357,6 +358,36 @@ class TestBatchedUpdates:
         gain = eng.store.input_x * eng.stdp.alpha_pre
         for times in (1, 2):
             eng.store.exc_v[list(fired)] = eng.lif.v_thresh
+            assert eng.fire_handler().tolist() == list(fired)
+            for j in range(10):
+                expected = times * gain if j in fired else np.zeros(4)
+                assert eng._w_delta[:, j].tolist() == expected.tolist(), f"column {j}"
+        assert eng.store.w.tobytes() == before.tobytes()
+
+    def test_fixed_handlers_outside_a_run_update_the_deltas_at_once(self):
+        # a run of this engine would record the updates and fold them when
+        # it ends; handler calls outside a run write them at once
+        eng = make_engine(n_input=1, n_exc=1, weights=[[0.5]], numeric=Q8_8,
+                          accumulate_updates=True)
+        assert eng.learns_in_lanes
+        eng.store.exc_x[:] = eng.arith.voltage(2.0)
+        eng.integrate_handler(np.array([[0]]))
+        # 2.0 is 512 in q8.8 and alpha_post 0.005 is 82 in q2.14: the drop
+        # 512 * 82 = 41984 truncated by 2**8 is 164
+        assert eng._w_delta.tolist() == [[-164]]
+        assert eng.store.w.tolist() == [[8192]]
+        eng.apply_accumulated_updates()
+        assert eng.store.w.tolist() == [[8192 - 164]]
+
+    @pytest.mark.parametrize("fired", GAPPED_FIRED_SETS)
+    def test_fixed_fire_outside_a_run_accumulates_column_by_column(self, fired):
+        eng = make_engine(n_input=4, n_exc=10, numeric=Q8_8, accumulate_updates=True)
+        before = eng.store.w.copy()
+        eng.store.input_x[:] = [eng.arith.voltage(x) for x in (0.5, 1.0, 1.5, 2.0)]
+        gain = eng.arith.mul_w(eng.store.input_x, eng.arith.coef(eng.stdp.alpha_pre))
+        assert gain.all()
+        for times in (1, 2):
+            eng.store.exc_v[list(fired)] = eng.arith.voltage(eng.lif.v_thresh)
             assert eng.fire_handler().tolist() == list(fired)
             for j in range(10):
                 expected = times * gain if j in fired else np.zeros(4)

@@ -10,17 +10,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aersnn import evaluator
+from aersnn import evaluator, event_engine
 from aersnn.config import RunConfig
 from aersnn.dynamics import LifParams
 from aersnn.encoders import Sample
-from aersnn.event_engine import EventEngine, FifoOverflowError, ProtocolError, packet_array
+from aersnn.event_engine import (
+    RECORD_ROWS,
+    EventEngine,
+    FifoOverflowError,
+    ProtocolError,
+    packet_array,
+)
 from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
 from aersnn.plasticity import StdpParams
 from aersnn.topology import store_to_bytes
 
 from conftest import make_engine
-from oracles import run_one_by_one, train_one_by_one
+from oracles import run_one_by_one, step_by_handlers, train_one_by_one
 from test_engine_pins import NARROW_LIF, Q3_8, Q8_8, REST_LIF, grid_stream, messy_stream
 
 # a rest of -0.0 and weights that hold -0.0: a voltage can stay -0.0, which
@@ -138,6 +144,36 @@ def test_learning_lanes_match_streams_run_one_by_one(case, n_input, n_exc, lanes
     assert state_bytes(engines[0]) == state_bytes(engines[1])
     assert engines[0]._w_delta.tobytes() == engines[1]._w_delta.tobytes()
     assert engines[0].steps.tobytes() == engines[1].steps.tobytes()
+
+
+@pytest.mark.parametrize("n_lanes", [RECORD_ROWS // 4, 17, RECORD_ROWS + 1],
+                         ids=["fill", "cross", "wide"])
+def test_learning_lanes_fold_their_records_as_steps_add_them(monkeypatch, n_lanes):
+    # every handler call records one row per lane: RECORD_ROWS // 4 lanes
+    # fill the records exactly, 17 lanes leave rows over and fold between
+    # the calls of a step, and more lanes than RECORD_ROWS fold every call
+    assert RECORD_ROWS % 4 == 0 and RECORD_ROWS % 17
+    folds, fold = [], event_engine.fold_rank1_raw
+
+    def counting_fold(delta, left, right, work):
+        folds.append(len(left))
+        fold(delta, left, right, work)
+
+    monkeypatch.setattr(event_engine, "fold_rank1_raw", counting_fold)
+    streams = [stream("messy", lane, 24, 12, 0.5) for lane in range(n_lanes)]
+    engines = [case_engine("q8.8", 12, 6, learning=True, accumulate_updates=True)
+               for _ in range(2)]
+    engines[0].run_lanes(streams, 26)
+    assert len(folds) > 2 and max(folds) == max(RECORD_ROWS, n_lanes) // n_lanes * n_lanes
+    reference = engines[1]
+    start = [a.copy() for a in reference.store.arrays()[1:]]
+    for packets in streams:
+        for a, saved in zip(reference.store.arrays()[1:], start):
+            a[:] = saved
+        step_by_handlers(reference, packets, 26)
+    assert engines[0]._w_delta.any()
+    assert engines[0]._w_delta.tobytes() == reference._w_delta.tobytes()
+    assert state_bytes(engines[0]) == state_bytes(reference)
 
 
 # input 0 drives all three neurons over threshold in one step, input 1 only

@@ -17,6 +17,8 @@ from aersnn.numerics import (
     fixed_convert,
     fixed_mul,
     fixed_sub,
+    fold_rank1_raw,
+    fold_work,
     leak_decay,
     leak_toward,
     quantize_array,
@@ -24,6 +26,7 @@ from aersnn.numerics import (
     to_real,
     trunc_shift_raw,
 )
+from aersnn.event_engine import RECORD_ROWS
 from aersnn.numerics import _trunc_shift_int
 
 from oracles import exp_decay_reference
@@ -201,6 +204,71 @@ class TestAddRows:
         assert not self.bound_holds(v, rows)
         self.check(v, rows)
         assert v[0, 0] in (Q4_4.raw_min, Q4_4.raw_max)
+
+
+# the magnitudes of the fold's values against its float64 bound rows * top <
+# 2**53: far below it, at its edge from either side, and far above it
+FOLD_TOPS = {
+    "small": lambda rows: 2**15,
+    "edge-below": lambda rows: (2**53 - 1) // rows,
+    "edge-above": lambda rows: -(-2**53 // rows),
+    "huge": lambda rows: 2**62,
+}
+
+
+@st.composite
+def rank1_updates(draw):
+    """Steps of 1-16 lanes, each a depression (per lane distinct ids and a
+    drop row) or a potentiation (per lane a gain column and fired ids), of
+    ``(m, n)`` deltas, with one update per lane and step adding up to a
+    row count around ``RECORD_ROWS``. Values are within ``top`` of zero,
+    and one of them is ``top`` or ``-top``."""
+    m, n, lanes = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    steps = draw(st.integers(max(RECORD_ROWS // lanes - 1, 1), RECORD_ROWS // lanes + 2))
+    top = FOLD_TOPS[draw(st.sampled_from(sorted(FOLD_TOPS)))](steps * lanes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    updates = []
+    for _ in range(steps):
+        depress = bool(rng.integers(2))
+        for _ in range(lanes):
+            values = rng.integers(-top, top, n if depress else m, endpoint=True)
+            chosen = np.flatnonzero(rng.random(m if depress else n) < rng.random())
+            updates.append((depress, chosen, values))
+    updates[rng.integers(len(updates))][2][0] = top * rng.choice([-1, 1])
+    return m, n, updates
+
+
+class TestFoldRank1:
+    @given(rank1_updates(), st.integers(0, 3), st.booleans())
+    def test_matches_sequential_int64_updates(self, case, spare_rows, reuse):
+        m, n, updates = case
+        want = np.zeros((m, n), dtype=np.int64)
+        left = np.zeros((len(updates), m), dtype=np.int64)
+        right = np.zeros((len(updates), n), dtype=np.int64)
+        for row, (depress, chosen, values) in enumerate(updates):
+            if depress:
+                want[chosen] -= values
+                left[row, chosen], right[row] = -1, values
+            else:
+                want[:, chosen] += values[:, None]
+                left[row], right[row, chosen] = values, 1
+        got = np.zeros((m, n), dtype=np.int64)
+        work = None
+        if reuse:
+            # work arrays with rows to spare, left over from an earlier fold
+            work = fold_work(len(updates) + spare_rows, m, n)
+            for a in work:
+                a.fill(-7)
+        fold_rank1_raw(got, left, right, work)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rows", [RECORD_ROWS - 1, RECORD_ROWS, RECORD_ROWS + 1])
+    def test_sum_past_the_float_bound(self, rows):
+        # odd gains whose sum passes 2**53: a float64 sum would round it
+        gain = -(-2**53 // rows) | 1
+        delta = np.array([[5]], dtype=np.int64)
+        fold_rank1_raw(delta, np.full((rows, 1), gain, np.int64), np.ones((rows, 1), np.int64))
+        assert delta[0, 0] == 5 + rows * gain
 
 
 class TestDecayParams:
