@@ -131,18 +131,17 @@ def _load_config(args) -> RunConfig:
 
 def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
     if cfg.dataset == "mnist":
-        if cfg.n_input != 784:
-            raise ConfigError(
-                f"mnist needs topology.n_input = 784, got {cfg.n_input}"
-            )
         train, test = load_mnist(cfg.mnist_dir, "train"), load_mnist(cfg.mnist_dir, "test")
+        width, test_width = train[0].features.size, test[0].features.size
+        if width != test_width:
+            raise DatasetError(f"{cfg.mnist_dir}: training images have {width} pixels, "
+                               f"test images {test_width}")
     else:
         beats = load_ecg_beats(cfg.ecg_csv)
-        if cfg.n_input != len(beats[0].features):
-            raise ConfigError(
-                f"ecg needs topology.n_input = {len(beats[0].features)}, got {cfg.n_input}"
-            )
+        width = beats[0].features.size
         train, test = split_samples(beats, cfg.test_fraction, derive_seed(cfg.seed, STREAM_SPLIT))
+    if cfg.n_input != width:
+        raise ConfigError(f"{cfg.dataset} needs topology.n_input = {width}, got {cfg.n_input}")
     n_classes = cfg.resolved_n_classes()
     top = max((s.label for s in train + test), default=-1)
     if top >= n_classes:

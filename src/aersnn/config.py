@@ -163,14 +163,9 @@ class RunConfig:
         for name in ("batch_size", "epochs", "fifo_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.label_fraction < 1.0:
-            raise ConfigError(
-                f"label_fraction must be in (0, 1), got {self.label_fraction}"
-            )
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction}"
-            )
+        for name in ("label_fraction", "test_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         if self.n_classes < 0:
             raise ConfigError(f"n_classes must be >= 0 (0: the dataset's), got {self.n_classes}")
         if not 0 <= self.seed < 2**64:

@@ -14,7 +14,8 @@ Dataset loaders:
   by /255; a file without images is a ``DatasetError``.
 * heartbeat CSV: one beat per line, 251 amplitude columns plus an integer
   class id in {0, 1, 2, 3}; each beat is min-max normalized on load
-  (an all-flat beat maps to zeros). The CSV is made outside this
+  (an all-flat beat maps to zeros). A non-finite amplitude, or a range
+  past float64's, is a ``DatasetError``. The CSV is made outside this
   repository, so the engine never parses waveform databases; the tests
   and the benchmark write synthetic ones with ``conftest.write_beat_csv``.
 """
@@ -22,6 +23,7 @@ Dataset loaders:
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -87,7 +89,8 @@ def poisson_encode(sample: Sample, p: EncoderParams) -> np.recarray:
     features = np.asarray(sample.features, dtype=np.float64)
     if features.ndim != 1:
         raise EncodingError(f"features must be a vector, got shape {features.shape}")
-    if features.size and (features.min() < 0.0 or features.max() > 1.0):
+    # written so that NaN, which compares false, fails it
+    if features.size and not (features.min() >= 0.0 and features.max() <= 1.0):
         raise EncodingError("features must lie in [0, 1]")
     rng = np.random.default_rng(p.seed)
     draws = rng.random((p.timesteps, features.size))
@@ -191,8 +194,12 @@ def load_ecg_beats(path) -> list[Sample]:
             raise DatasetError(
                 f"{path}:{lineno}: unknown class id {label}, expected 0..{ECG_CLASSES - 1}"
             )
-        lo = beat.min()
-        span = beat.max() - lo
+        # Python floats: a nan or inf amplitude, or a range past float64's,
+        # gives a span that is not finite, without a numpy warning
+        lo, hi = float(beat.min()), float(beat.max())
+        span = hi - lo
+        if not math.isfinite(span):
+            raise DatasetError(f"{path}:{lineno}: amplitudes {lo!r} to {hi!r}: no finite range")
         if span > 0.0:
             beat = (beat - lo) / span
         else:

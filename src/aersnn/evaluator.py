@@ -219,11 +219,7 @@ def assign_labels(engine: EventEngine, samples: list[Sample], cfg: RunConfig,
                                           learning=False):
         sums[:, sample.label] += counts
         class_counts[sample.label] += 1
-    response = np.divide(
-        sums,
-        np.maximum(class_counts, 1)[None, :],
-        dtype=np.float64,
-    )
+    response = sums / np.maximum(class_counts, 1)
     label = np.argmax(response, axis=1)  # argmax ties resolve to lowest id
     silent = ~response.any(axis=1)
     label[silent] = 0
@@ -257,11 +253,7 @@ def evaluate(engine: EventEngine, labels: NeuronLabels, samples: list[Sample],
         confusion[sample.label, classify(counts, labels)] += 1
     total = confusion.sum()
     accuracy = float(np.trace(confusion)) / float(total)
-    row_sums = confusion.sum(axis=1)
-    recall = np.divide(
-        np.diag(confusion).astype(np.float64),
-        np.maximum(row_sums, 1).astype(np.float64),
-    )
+    recall = np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1)
     return Metrics(accuracy=accuracy, confusion=confusion, per_class_recall=recall)
 
 
@@ -278,9 +270,7 @@ def run_experiment(cfg: RunConfig, train_samples: list[Sample],
     train_slice = slice_counted(train_samples, cfg.train_samples)
     test_slice = slice_counted(test_samples, cfg.eval_samples)
     engine = build_engine(cfg, initial_store)
-    train_stats = {"samples": 0, "packets_in": 0, "packets_out": 0}
-    if train_slice:
-        train_stats = train_pass(engine, train_slice, cfg, learning=learning)
+    train_stats = train_pass(engine, train_slice, cfg, learning=learning)
     # labeling uses the tail of the training slice, samples the network has
     # just trained on (not held out), and never test data
     label_base = train_slice if train_slice else train_samples

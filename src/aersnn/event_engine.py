@@ -115,7 +115,11 @@ numeric modes, because:
 No handler tests the numeric mode: the store's arithmetic object (see
 ``numerics``) does each float- or fixed-specific step, so one set of
 handlers serves both modes and matches the dense float oracle
-(``reference_sim``) bit for bit.
+(``reference_sim``) bit for bit. Nor does one test the layout: the
+synapse matrix, its frozen copy and the batched deltas are row-major, one
+row per input, as checkpoints store it; rows are read by ``take`` or
+fancy indexing and columns written through a slice or a gather, which
+give the same values in any layout.
 """
 
 from __future__ import annotations
@@ -379,8 +383,7 @@ class EventEngine:
         self.fifo_capacity = fifo_capacity
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
-        # the batched weight deltas, if updates accumulate: C-ordered, as
-        # one-lane depression gathers and scatters their rows
+        # the batched weight deltas, if updates accumulate
         self._w_delta = np.zeros(store.w.shape, store.w.dtype) if accumulate_updates else None
 
         ar = self.arith = store.arith

@@ -82,10 +82,10 @@ class StateStore:
 
     Arrays are float64 in float mode and int64 raw mantissas in fixed mode
     (voltage-format for voltages, traces and pending inhibition,
-    weight-format for the synapse matrix). The synapse matrix is held
-    column-major; ``tobytes`` and checkpoints still serialize it row-major.
-    ``rest`` is the real rest voltage ``v_rest`` in store units, the value
-    voltages reset to; ``arith`` is the numeric mode's arithmetic object.
+    weight-format for the synapse matrix). The synapse matrix ``w`` is
+    row-major, one row per input, as checkpoints serialize it. ``rest`` is
+    the real rest voltage ``v_rest`` in store units, the value voltages
+    reset to; ``arith`` is the numeric mode's arithmetic object.
     """
 
     def __init__(self, n_input: int, n_exc: int, numeric: NumericSpec, v_rest: float):
@@ -96,8 +96,7 @@ class StateStore:
         self.v_rest = float(v_rest)
         self.rest = self.arith.voltage(v_rest)
         dtype = self.arith.dtype
-        # column-major: potentiation updates whole columns
-        self.w = np.zeros((n_input, n_exc), dtype=dtype, order="F")
+        self.w = np.zeros((n_input, n_exc), dtype=dtype)
         self.exc_v = np.full(n_exc, self.rest, dtype=dtype)
         self.exc_x = np.zeros(n_exc, dtype=dtype)
         self.input_x = np.zeros(n_input, dtype=dtype)
@@ -109,8 +108,7 @@ class StateStore:
 
     def copy(self) -> "StateStore":
         dup = StateStore(self.n_input, self.n_exc, self.numeric, self.v_rest)
-        dup.w = self.w.copy(order="F")
-        dup.exc_v, dup.exc_x, dup.input_x, dup.pending = (a.copy() for a in self.arrays()[1:])
+        dup.w, dup.exc_v, dup.exc_x, dup.input_x, dup.pending = (a.copy() for a in self.arrays())
         return dup
 
     def state_equal(self, other: "StateStore") -> bool:
@@ -137,7 +135,7 @@ def build_network(
     lo = sp.w_min + INIT_MARGIN * span
     hi = sp.w_max - INIT_MARGIN * span
     weights = rng.uniform(lo, hi, size=(tp.n_input, tp.n_exc))
-    store.w = np.asfortranarray(store.arith.weights(weights))
+    store.w = store.arith.weights(weights)
     return store
 
 
@@ -183,6 +181,11 @@ class CheckpointError(Exception):
     """Malformed, truncated, or incompatible checkpoint container."""
 
 
+# the payload arrays, in order
+_PAYLOAD_NAMES = ("weights", "voltages", "excitatory traces", "input traces",
+                  "pending inhibition")
+
+
 def _payload_dtype(numeric: NumericSpec) -> np.dtype:
     return np.dtype("<i4") if numeric.is_fixed else np.dtype("<f8")
 
@@ -205,10 +208,7 @@ def store_to_bytes(store: StateStore, seed: int = 0, config_hash: bytes = b"") -
         digest,
     )
     dtype = _payload_dtype(numeric)
-    parts = [header]
-    for arr in store.arrays():
-        parts.append(arr.astype(dtype).tobytes())
-    return b"".join(parts)
+    return b"".join([header, *(arr.astype(dtype).tobytes() for arr in store.arrays())])
 
 
 def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
@@ -240,10 +240,23 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
         raise CheckpointError(
             f"payload size mismatch: got {len(data)} bytes, expected {expected}"
         )
-    store = StateStore(n_input, n_exc, numeric, v_rest)
     flat = np.frombuffer(data, dtype=dtype, offset=_HEADER.size)
-    w, *rest = (a.astype(store.arith.dtype) for a in np.split(flat, np.cumsum(counts)[:-1]))
-    store.w = np.asfortranarray(w.reshape(n_input, n_exc))
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    # a store holds finite floats, and mantissas inside their format: the
+    # weights' w_format, the rest's v_format (nan compares false)
+    top = np.finfo(np.float64).max
+    formats = (numeric.w_format,) + (numeric.v_format,) * 4
+    for name, part, fmt in zip(_PAYLOAD_NAMES, parts, formats):
+        lo, hi = (fmt.raw_min, fmt.raw_max) if numeric.is_fixed else (-top, top)
+        if not (part.min(initial=hi) >= lo and part.max(initial=lo) <= hi):
+            i = np.flatnonzero(~((part >= lo) & (part <= hi)))[0]
+            why = f"outside the {fmt} range [{lo}, {hi}]" if numeric.is_fixed else "not finite"
+            raise CheckpointError(f"{name}[{i}] = {part[i]} is {why}")
+    store = StateStore(n_input, n_exc, numeric, v_rest)
+    w, *rest = (a.astype(store.arith.dtype) for a in parts)
+    # the store takes a copy of the decoded weights: keeping the decoded
+    # array itself measured 0.7-1.8 MB (up to 4.4%) more trace_replay peak RSS
+    store.w = w.reshape(n_input, n_exc).copy()
     store.exc_v, store.exc_x, store.input_x, store.pending = rest
     return store, seed, digest
 

@@ -9,6 +9,7 @@ from aersnn.event_engine import packet_array, read_aer_file, write_aer_file
 from aersnn.topology import load_store
 
 from conftest import four_class_beats, make_idx_digit_dir, write_beat_csv
+from test_topology import with_payload_value
 
 TINY_CFG = """
 topology.n_exc = 12
@@ -511,8 +512,58 @@ def _sweep(param, values, extra=""):
     return build
 
 
+def _with_digits(side, command="train", test_side=None):
+    """argv of ``command`` on digits of ``side`` x ``side`` pixels (test
+    digits of ``test_side``); eval runs on a checkpoint trained on the
+    workspace's 28 x 28 digits, sweep over one value."""
+    def build(tmp, cfg):
+        argv = [command, "--config", cfg, "--out", tmp / "x"]
+        if command == "sweep":
+            argv[1:1] = ["v_thresh", "4.0"]
+        if command == "eval":
+            assert run_cli("train", "--config", cfg, "--out", tmp / "out") == 0
+            argv += ["--checkpoint", tmp / "out" / "checkpoint.aern"]
+        make_idx_digit_dir(tmp / "mnist", side=side)
+        if test_side is not None:
+            split = make_idx_digit_dir(tmp / "test-mnist", side=test_side)
+            for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+                (split / name).replace(tmp / "mnist" / name)
+        return argv
+    return build
+
+
+def _with_checkpoint_value(command, mode, array, value):
+    """argv of ``command`` from a trained ``mode`` checkpoint whose first
+    value of payload array ``array`` (0: weights, 1: voltages) is
+    ``value``."""
+    def build(tmp, cfg):
+        other = tmp / "other.cfg"
+        other.write_text(cfg.read_text() + f"numeric.mode = {mode}\n")
+        assert run_cli("train", "--config", other, "--out", tmp / "out") == 0
+        path = tmp / "out" / "checkpoint.aern"
+        path.write_bytes(with_payload_value(path.read_bytes(), load_store(path)[0],
+                                            array, 0, value))
+        return [command, "--config", other, "--checkpoint", path, "--out", tmp / "x"]
+    return build
+
+
 # name: argv builder of a command that must exit 1 before it writes to x
 REJECTED_UP_FRONT = {
+    # the config keeps the default topology.n_input = 784
+    "train-digits-10x10": _with_digits(10),
+    "train-digits-30x30": _with_digits(30),
+    "eval-digits-30x30": _with_digits(30, "eval"),
+    "sweep-digits-10x10": _with_digits(10, "sweep"),
+    "eval-checkpoint-nan-weight": _with_checkpoint_value("eval", "float", 0, np.nan),
+    "train-checkpoint-inf-weight": _with_checkpoint_value("train", "float", 0, np.inf),
+    "eval-checkpoint-inf-voltage": _with_checkpoint_value("eval", "float", 1, -np.inf),
+    "eval-fixed-checkpoint-weight-past-q2.14": _with_checkpoint_value("eval", "fixed", 0, 2**30),
+    "train-fixed-checkpoint-weight-past-q2.14": _with_checkpoint_value(
+        "train", "fixed", 0, 2**30),
+    "eval-fixed-checkpoint-voltage-below-q8.8": _with_checkpoint_value(
+        "eval", "fixed", 1, -2**31 + 1),
+    "train-fixed-checkpoint-voltage-below-q8.8": _with_checkpoint_value(
+        "train", "fixed", 1, -2**31 + 1),
     "train-eval-samples-zero": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "eval.samples = 0\n"),
     "eval-eval-samples-zero": lambda tmp, cfg: _eval_with_config(
@@ -564,6 +615,47 @@ def test_rejected_up_front_with_one_line(workspace, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not (tmp / "x").exists()
+
+
+def _beats_with(amplitude):
+    def build(tmp, cfg):
+        beats = four_class_beats()
+        beats[2][0][7] = amplitude
+        return ["train", "--config", _beats_config(tmp, cfg, beats, ""), "--out", tmp / "x"]
+    return build
+
+
+# name: argv builder of a command that must exit 2 before it writes to x
+REJECTED_AS_IO = {
+    "train-beat-nan": _beats_with(np.nan),
+    "train-beat-inf": _beats_with(np.inf),
+    "train-beat-minus-inf": _beats_with(-np.inf),
+    "train-digit-splits-differ": _with_digits(28, test_side=10),
+    "eval-digit-splits-differ": _with_digits(28, "eval", test_side=30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_AS_IO))
+def test_rejected_as_io_with_one_line(workspace, capsys, name):
+    tmp, cfg = workspace
+    argv = REJECTED_AS_IO[name](tmp, cfg)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io error:"), err
+    assert not (tmp / "x").exists()
+
+
+def test_digit_width_comes_from_the_data(tmp_path, capsys):
+    make_idx_digit_dir(tmp_path / "mnist", side=10)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG + f"data.mnist_dir = {tmp_path / 'mnist'}\ntopology.n_input = 100\n")
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert load_store(tmp_path / "out" / "checkpoint.aern")[0].w.shape == (100, 12)
+    cfg.write_text(cfg.read_text() + "topology.n_input = 784\n")
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == "error: mnist needs topology.n_input = 100, got 784\n"
 
 
 # sha256 of the artifacts of train on 20 test samples, so that label and eval

@@ -1,5 +1,6 @@
 import gzip
 import math
+import re
 import shutil
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestPoissonEncode:
                            EncoderParams(timesteps=5, max_rate=0.5))
         with pytest.raises(EncodingError):
             poisson_encode(Sample(features=np.array([-0.1]), label=0),
+                           EncoderParams(timesteps=5, max_rate=0.5))
+
+    @pytest.mark.parametrize("features", [[np.nan], [0.5, np.nan, 0.2], [np.nan, 1.5]])
+    def test_rejects_nan_features(self, features):
+        # nan fails every comparison, so a range check must be one it fails
+        with pytest.raises(EncodingError):
+            poisson_encode(Sample(features=np.array(features), label=0),
                            EncoderParams(timesteps=5, max_rate=0.5))
 
 
@@ -167,6 +175,22 @@ class TestLoadEcgBeats:
         path = tmp_path / "beats.csv"
         write_beat_csv(path, [(np.zeros(251) + 0.5, 7)])
         with pytest.raises(DatasetError, match="class"):
+            load_ecg_beats(path)
+
+    @pytest.mark.parametrize("amplitudes", [["nan"], ["inf"], ["-inf"], ["NaN", "inf"],
+                                            ["1e308", "-1e308"]],
+                             ids=["nan", "inf", "minus-inf", "nan-and-inf", "range-overflows"])
+    def test_non_finite_amplitudes_rejected_with_their_line(self, tmp_path, amplitudes):
+        # no RuntimeWarning either: the suite turns warnings into errors
+        path = tmp_path / "beats.csv"
+        write_beat_csv(path, four_class_beats())
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5:5 + len(amplitudes)] = amplitudes
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        line = re.escape(f"{path}:3: amplitudes ")
+        with pytest.raises(DatasetError, match=f"^{line}.* no finite range$"):
             load_ecg_beats(path)
 
     def test_requires_all_four_classes(self, tmp_path):

@@ -176,6 +176,45 @@ def test_learning_lanes_fold_their_records_as_steps_add_them(monkeypatch, n_lane
     assert state_bytes(engines[0]) == state_bytes(reference)
 
 
+# the engines of the layout test: a run that learns into the live weights,
+# one whose updates accumulate (in lanes where the engine learns in lanes)
+# and a frozen one
+LAYOUT_ENGINES = {
+    "live-learning": dict(learning=True),
+    "accumulating": dict(learning=True, accumulate_updates=True),
+    "frozen": dict(),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(LAYOUT_ENGINES))
+@pytest.mark.parametrize("case, weights", [
+    ("float", None),
+    ("float", (-0.25, 0.5, 1.25)),  # outside [w_min, w_max]: clipped at every firing step
+    ("q8.8", None),
+    ("q3.8-rails", None),
+], ids=["float", "float-out-of-range", "q8.8", "q3.8-rails"])
+def test_runs_do_not_depend_on_the_weight_layout(case, weights, regime):
+    # live weights a caller made column-major give the row-major run's
+    # outputs, store and batched deltas bit for bit, through a flush and
+    # a second run
+    extra = {} if weights is None else dict(weights=weights)
+    engines = [case_engine(case, 12, 6, **extra, **LAYOUT_ENGINES[regime]) for _ in range(2)]
+    engines[0].store.w = np.ascontiguousarray(engines[0].store.w)
+    engines[1].store.w = np.asfortranarray(engines[1].store.w)
+    n_lanes = 4 if not engines[0].learning or engines[0].learns_in_lanes else 1
+    streams = [stream("messy" if lane % 2 else "grid", lane, 20, 12, 0.6)
+               for lane in range(n_lanes)]
+    for _ in range(2):
+        got, want = [engine.run_lanes(streams, 22) for engine in engines]
+        assert_same_runs(got, want)
+        assert learned(engines[1]) == learned(engines[0])
+        assert state_bytes(engines[1]) == state_bytes(engines[0])
+        for engine in engines:
+            engine.apply_accumulated_updates()
+        assert state_bytes(engines[1]) == state_bytes(engines[0])
+    assert engines[1].store.w.flags.f_contiguous
+
+
 # input 0 drives all three neurons over threshold in one step, input 1 only
 # neuron 0: an output FIFO of one packet overflows on input 0 alone
 OVERFLOW_WEIGHTS = [[2.0, 2.0, 2.0], [2.0, 0.0, 0.0]]

@@ -2,11 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aersnn.numerics import NumericSpec
+from aersnn.numerics import NumericSpec, QFormat
 from aersnn.plasticity import StdpParams
 from aersnn.topology import (
     CheckpointError,
+    StateStore,
     TopologyParams,
     atomic_open,
     build_network,
@@ -204,3 +207,126 @@ class TestCheckpoint:
             store_from_bytes(blob[:-3])
         with pytest.raises(CheckpointError):
             store_from_bytes(blob[:10])
+
+
+MODES = [NumericSpec(), NumericSpec(mode="fixed")]
+
+
+class TestLayout:
+    """The synapse matrix is row-major wherever a store comes from, and a
+    checkpoint does not depend on the layout a caller gave it."""
+
+    @pytest.mark.parametrize("numeric", MODES, ids=["float", "fixed"])
+    def test_every_store_holds_a_row_major_matrix(self, tmp_path, numeric):
+        assert StateStore(4, 3, numeric, 0.0).w.flags.c_contiguous
+        store = small_store(numeric=numeric)
+        assert store.w.flags.c_contiguous
+        save_store(tmp_path / "net.aern", store)
+        assert load_store(tmp_path / "net.aern")[0].w.flags.c_contiguous
+        store.w = np.asfortranarray(store.w)
+        dup = store.copy()
+        assert dup.w.flags.c_contiguous and dup.state_equal(store)
+
+    @pytest.mark.parametrize("numeric", MODES, ids=["float", "fixed"])
+    def test_checkpoint_bytes_do_not_depend_on_the_layout(self, numeric):
+        store = small_store(n_input=5, n_exc=4, numeric=numeric)
+        blob = store_to_bytes(store)
+        store.w = np.asfortranarray(store.w)
+        assert store_to_bytes(store) == blob
+
+
+def with_payload_value(blob, store, array, index, value):
+    """The checkpoint ``blob`` of ``store`` with value ``index`` of payload
+    array ``array`` (0: weights, 1: voltages, ...) replaced."""
+    blob = bytearray(blob)
+    dtype = np.dtype("<i4" if store.numeric.is_fixed else "<f8")
+    sizes = [a.size for a in store.arrays()]
+    payload = np.frombuffer(blob, dtype=dtype, offset=len(blob) - sum(sizes) * dtype.itemsize)
+    payload[sum(sizes[:array]) + index] = value
+    return bytes(blob)
+
+
+def with_value(store, array, index, value):
+    return with_payload_value(store_to_bytes(store), store, array, index, value)
+
+
+FIXED = NumericSpec(mode="fixed")  # q8.8 voltages, q2.14 weights
+
+
+class TestCheckpointValues:
+    @pytest.mark.parametrize("array", range(5))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, array, value):
+        blob = with_value(small_store(), array, 1, value)
+        with pytest.raises(CheckpointError, match=r"\[1\] = -?(nan|inf) is not finite"):
+            store_from_bytes(blob)
+
+    @pytest.mark.parametrize("array, value", [
+        (0, 2**30), (0, -2**15 - 1), (0, 2**15),  # q2.14 weight mantissas
+        (1, -2**31 + 1), (2, 2**15), (3, -2**15 - 1), (4, 2**31 - 1),  # q8.8 mantissas
+    ])
+    def test_mantissa_outside_its_format_rejected(self, array, value):
+        blob = with_value(small_store(numeric=FIXED), array, 2, value)
+        with pytest.raises(CheckpointError, match=f"\\[2\\] = {value} is outside the q"):
+            store_from_bytes(blob)
+
+    @pytest.mark.parametrize("array, value", [(0, -2**15), (0, 2**15 - 1), (1, -2**15),
+                                              (4, 2**15 - 1)])
+    def test_mantissa_at_its_format_edge_loads(self, array, value):
+        loaded, _, _ = store_from_bytes(with_value(small_store(numeric=FIXED), array, 0, value))
+        assert loaded.arrays()[array][(0,) * loaded.arrays()[array].ndim] == value
+
+    def test_largest_finite_float_loads(self):
+        top = np.finfo(np.float64).max
+        loaded, _, _ = store_from_bytes(with_value(small_store(), 1, 2, -top))
+        assert loaded.exc_v[2] == -top
+
+
+def holdable(numeric, n_w, values):
+    """Whether a store holds ``values``, the payload whose first ``n_w``
+    are weights: finite floats, or mantissas inside their formats."""
+    if not numeric.is_fixed:
+        return bool(np.isfinite(values).all())
+    return all(((part >= fmt.raw_min) & (part <= fmt.raw_max)).all()
+               for part, fmt in ((values[:n_w], numeric.w_format),
+                                 (values[n_w:], numeric.v_format)))
+
+
+# the values an i32 payload mantissa can take
+I32 = (-2**31, 2**31 - 1)
+
+
+@st.composite
+def payloads(draw):
+    """A checkpoint of a small store with drawn payload values: floats with
+    nan and the infinities, or i32 mantissas drawn from one past each end
+    of their format, one of them maybe from the whole i32 range."""
+    n_input, n_exc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_w, size = n_input * n_exc, n_input * n_exc + 3 * n_exc + n_input
+    if draw(st.booleans()):
+        numeric = NumericSpec(mode="fixed",
+                              v_format=QFormat(draw(st.integers(1, 16)), draw(st.integers(0, 16))),
+                              w_format=QFormat(draw(st.integers(1, 16)), draw(st.integers(0, 16))))
+        values = [draw(st.integers(max(fmt.raw_min - 1, I32[0]), min(fmt.raw_max + 1, I32[1])))
+                  for fmt in [numeric.w_format] * n_w + [numeric.v_format] * (size - n_w)]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] = draw(st.integers(*I32))
+        values = np.array(values, dtype="<i4")
+    else:
+        numeric = NumericSpec()
+        values = np.array(draw(st.lists(st.floats(width=64), min_size=size, max_size=size)))
+    blob = store_to_bytes(StateStore(n_input, n_exc, numeric, 0.0))
+    return numeric, n_w, values, blob[:len(blob) - values.nbytes] + values.tobytes()
+
+
+@given(payloads())
+def test_payload_loads_every_value_or_raises(case):
+    numeric, n_w, values, blob = case
+    if not holdable(numeric, n_w, values):
+        with pytest.raises(CheckpointError):
+            store_from_bytes(blob)
+        return
+    store, _, _ = store_from_bytes(blob)
+    loaded = np.concatenate([a.reshape(-1) for a in store.arrays()])
+    assert holdable(numeric, n_w, loaded)
+    assert loaded.tobytes() == values.astype(store.arith.dtype).tobytes()
