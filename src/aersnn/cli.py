@@ -129,10 +129,15 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _load_dataset(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
+def _load_dataset(cfg: RunConfig, with_test: bool = True) -> tuple[list[Sample], list[Sample]]:
+    """The training and test samples. Without ``with_test`` an IDX dataset
+    reads only its training split, and the test list is empty; a beat file
+    holds both splits."""
     if cfg.dataset == "mnist":
-        train, test = load_mnist(cfg.mnist_dir, "train"), load_mnist(cfg.mnist_dir, "test")
-        width, test_width = train[0].features.size, test[0].features.size
+        train = load_mnist(cfg.mnist_dir, "train")
+        test = load_mnist(cfg.mnist_dir, "test") if with_test else []
+        width = train[0].features.size
+        test_width = test[0].features.size if test else width
         if width != test_width:
             raise DatasetError(f"{cfg.mnist_dir}: training images have {width} pixels, "
                                f"test images {test_width}")
@@ -330,7 +335,7 @@ def cmd_sweep(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
-    train_set, _ = _load_dataset(cfg)
+    train_set, _ = _load_dataset(cfg, with_test=False)
     subset = slice_counted(train_set, cfg.train_samples)
     streams = [
         poisson_encode(sample, cfg.encoder_params(derive_seed(cfg.seed, STREAM_ENCODE, idx)))

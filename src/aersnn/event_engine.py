@@ -30,10 +30,10 @@ step record: more neurons than that firing in one step raises
 ``FifoOverflowError``, naming the first such step.
 
 ``run_lanes`` runs several streams in lockstep lanes, and ``run`` is its
-one-lane case. The handlers act on lane state: ``(lanes, n)`` voltages,
-traces and pending inhibition, with one more input trace per lane for the
-pad id (below); a run offsets lane b's ids by ``b * (n_input + 1)``, so
-they index the flat input traces. A run copies the store's state into
+one-lane case. The handlers act on lane state: ``(lanes, n)`` copies of
+every non-weight store array, plus one pad element for input-layer arrays
+(the pad id, below); a run offsets lane b's ids by ``b * (n_input + 1)``,
+so they index the flat input traces. A run copies the store's state into
 every lane and writes the last lane's end state back when it succeeds, so
 lanes equal the streams run one by one through ``run`` from that state;
 outside a run the lane state is one lane of views of the store's arrays. A
@@ -133,6 +133,7 @@ from .dynamics import LifParams, TraceParams
 from .numerics import DecayParams, fold_rank1_raw, fold_work, saturate_raw
 from .plasticity import StdpParams
 from .topology import (
+    STORE_ARRAYS,
     StateStore,
     TopologyParams,
     atomic_open,
@@ -166,10 +167,13 @@ STEP_DTYPE = np.dtype([("packets_in", "<i8"), ("integrated", "<i8"), ("fired", "
 # x86_64 host, and 64 rows of 251 + 1 inputs and 100 neurons take 0.18 MB,
 # their fold's work arrays 0.58 MB
 RECORD_ROWS = 64
+# the arrays of the lane state: every store array over one layer, which is
+# each but the synapse matrix
+LANE_ARRAYS = tuple(row for row in STORE_ARRAYS if len(row.layers) == 1)
 
 
 class EngineError(Exception):
-    pass
+    """Base class of the engine's errors."""
 
 
 class ProtocolError(EngineError):
@@ -194,10 +198,7 @@ def packet_array(ids, timestamps) -> np.recarray:
     timestamps = _field(timestamps, "timestamp", 0xFFFFFFFF)
     if ids.shape != timestamps.shape:
         raise ValueError(f"{ids.shape} ids but {timestamps.shape} timestamps")
-    packets = np.recarray(ids.shape, dtype=PACKET_DTYPE)
-    packets.neuron_id = ids
-    packets.timestamp = timestamps
-    return packets
+    return np.rec.fromarrays([ids, timestamps], dtype=PACKET_DTYPE)
 
 
 def write_aer_file(path, packets: np.ndarray) -> int:
@@ -247,16 +248,12 @@ class RunResult:
 def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
     """Raise for the first packet, in stream order, whose timestamp is
     below its predecessor's or not below ``stop_ts``."""
-    back = np.flatnonzero(ts[1:] < ts[:-1])
+    back = np.flatnonzero(ts[1:] < ts[:-1]) + 1
     past = np.flatnonzero(ts >= stop_ts)
-    i_back = int(back[0]) + 1 if back.size else ts.size
-    i_past = int(past[0]) if past.size else ts.size
-    if i_back <= i_past and back.size:
-        raise ProtocolError(
-            f"timestamp went backwards: {ts[i_back]} after {ts[i_back - 1]}"
-        )
+    if back.size and not (past.size and past[0] < back[0]):
+        raise ProtocolError(f"timestamp went backwards: {ts[back[0]]} after {ts[back[0] - 1]}")
     if past.size:
-        raise ProtocolError(f"packet timestamp {ts[i_past]} is past stop_ts {stop_ts}")
+        raise ProtocolError(f"packet timestamp {ts[past[0]]} is past stop_ts {stop_ts}")
 
 
 def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> None:
@@ -290,10 +287,9 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     bounds = np.cumsum([0] + [packets.size for packets in streams]).tolist()
     key = np.empty(bounds[-1], dtype=np.int64)  # lane * stop_ts + timestep
     ids = np.empty(bounds[-1], dtype=np.intp)
-    for lane, packets in enumerate(streams):
-        np.add(packets["timestamp"], lane * stop_ts, out=key[bounds[lane]:bounds[lane + 1]],
-               dtype=np.int64)
-        ids[bounds[lane]:bounds[lane + 1]] = packets["neuron_id"]
+    for lane, (packets, lo, hi) in enumerate(zip(streams, bounds, bounds[1:])):
+        np.add(packets["timestamp"], lane * stop_ts, out=key[lo:hi], dtype=np.int64)
+        ids[lo:hi] = packets["neuron_id"]
     steps = np.zeros((n_lanes, stop_ts), dtype=STEP_DTYPE)
     steps["packets_in"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
     keep = ids < n_input
@@ -408,18 +404,27 @@ class EventEngine:
         # rows of them are filled
         self._records = None
         self._n_records = 0
-        self._bind_store()
+        self._bind()
 
-    def _bind(self, *state: np.ndarray) -> None:
-        """Make the ``(lanes, n)`` voltages, traces, input traces and
-        pending inhibition in ``state`` the handlers' lane state."""
-        self._v, self._ex, self._ix, self._pend = state
-        self._vf, self._exf, self._ixf = (a.reshape(-1) for a in state[:3])
-
-    def _bind_store(self) -> None:
-        """One lane of views of the store's arrays, for handler calls made
-        outside a run."""
-        self._bind(*(a[None] for a in self.store.arrays()[1:]))
+    def _bind(self, n_lanes: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Bind the handlers' lane state: per row of ``LANE_ARRAYS`` its
+        ``(lanes, n)`` lanes as ``_<name>`` and their flat view as
+        ``_<name>_flat``. ``n_lanes`` lanes are copies of the store's array,
+        with one more element, the pad id's, for an array over the input
+        layer; none is one lane of views of the store's arrays, for handler
+        calls made outside a run. Returns each store array with its lanes."""
+        store = self.store
+        pairs = []
+        for row in LANE_ARRAYS:
+            a = getattr(store, row.name)
+            lanes = a[None]
+            if n_lanes:
+                lanes = np.zeros((n_lanes, *row.shape(store.n_input + 1, store.n_exc)), a.dtype)
+                lanes[:, :a.size] = a
+            setattr(self, f"_{row.name}", lanes)
+            setattr(self, f"_{row.name}_flat", lanes.reshape(-1))
+            pairs.append((a, lanes))
+        return pairs
 
     # -- handlers ---------------------------------------------------------
 
@@ -443,7 +448,7 @@ class EventEngine:
                 np.minimum(self._w_max, live, out=live)
             rows = ar.w_to_v(live)
         if self.learning:
-            drop = ar.mul_w(self._ex, self._a_post)
+            drop = ar.mul_w(self._exc_x, self._a_post)
             if self._records is not None:
                 # per lane -1 at its ids, whose offsets are the records'
                 # row stride (the pad ids fall in the pad column), times
@@ -459,53 +464,53 @@ class EventEngine:
             else:
                 # one lane, which has no pad ids
                 self._w_delta[ids[0]] -= drop[0]
-        ar.add_rows(self._v, rows)
+        ar.add_rows(self._exc_v, rows)
         # x_max is quantized into the voltage format in fixed mode, so the
         # ceiling clamp also covers saturation
-        ix = self._ixf
+        ix = self._input_x_flat
         ix[ids] = np.minimum(ix[ids] + self._alpha, self._x_max)
 
     def leak_handler(self) -> None:
-        ar, v = self.arith, self._v
+        ar, v = self.arith, self._exc_v
         v -= ar.mul_v(v - self._rest, self._decay_v)
-        v -= self._pend
+        v -= self._pending
         ar.saturate_v(v)
         np.maximum(v, self._floor, out=v)
-        self._ex -= ar.mul_v(self._ex, self._decay_x)
-        self._ix -= ar.mul_v(self._ix, self._decay_x)
-        self._pend[:] = 0
+        self._exc_x -= ar.mul_v(self._exc_x, self._decay_x)
+        self._input_x -= ar.mul_v(self._input_x, self._decay_x)
+        self._pending[:] = 0
 
     def fire_handler(self) -> np.ndarray:
         """Fire every neuron at or above threshold, in every lane; returns
         the flat indices ``lane * n_exc + id`` of the fired neurons in
         ascending order."""
-        crossed = self._v >= self._thresh
+        crossed = self._exc_v >= self._thresh
         fired = np.flatnonzero(crossed)
         if fired.size:
-            queue_inhibition(self.store, crossed, self._inh_credit, self._pend)
+            queue_inhibition(self.store, crossed, self._inh_credit, self._pending)
             if self.learning:
                 if self._records is not None:
                     # per lane its gains (the pad column's is dropped) times
                     # its fired indicator
                     left, right = self._record(len(crossed))
-                    left[:] = self.arith.mul_w(self._ix, self._a_pre)
+                    left[:] = self.arith.mul_w(self._input_x, self._a_pre)
                     right[:] = crossed
                 else:
                     # one lane, whose fired indices are its neuron ids
-                    gain = self.arith.mul_w(self._ix[0, :self.store.n_input, None], self._a_pre)
-                    self._potentiate(fired, gain)
-            self._vf[fired] = self._rest
-            ex = self._exf
+                    self._potentiate(fired)
+            self._exc_v_flat[fired] = self._rest
+            ex = self._exc_x_flat
             ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
         return fired
 
-    def _potentiate(self, fired: np.ndarray, gain: np.ndarray) -> None:
-        """Add ``gain`` to the fired columns of the live weights, clipped, or
-        of the batched deltas; a run that defers the clip (see
-        ``run_lanes``) leaves the live weights unclipped. Ascending fired
-        ids that form one range of consecutive ids are updated in place
+    def _potentiate(self, fired: np.ndarray) -> None:
+        """Add the one lane's gains to the ``fired`` columns of the live
+        weights, clipped, or of the batched deltas; a run that defers the
+        clip (see ``run_lanes``) leaves the live weights unclipped. Ascending
+        fired ids that form one range of consecutive ids are updated in place
         through a column slice, any other set through one gather and
         scatter."""
+        gain = self.arith.mul_w(self._input_x[0, :self.store.n_input, None], self._a_pre)
         live = self._w_delta is None
         target = self.store.w if live else self._w_delta
         lo, hi = int(fired[0]), int(fired[-1]) + 1
@@ -549,9 +554,8 @@ class EventEngine:
         """Fold the batched weight deltas into the live weights (clamped)."""
         if self._w_delta is None:
             return
-        w = self.store.w
-        w += self._w_delta
-        np.clip(w, self._w_min, self._w_max, out=w)
+        self.store.w += self._w_delta
+        np.clip(self.store.w, self._w_min, self._w_max, out=self.store.w)
         self._w_delta[:] = 0
 
     # -- controller -------------------------------------------------------
@@ -590,14 +594,11 @@ class EventEngine:
             return []
         store, ar = self.store, self.arith
         steps, runs = _plan_lanes(streams, stop_ts, store.n_input)
-        # one more input trace per lane takes the pad id's bumps
-        v, ex, ix, pend = store.arrays()[1:]
-        w = store.w
+        state = self._bind(n_lanes)
+        # the pad id's input traces are 0
         self._defer = bool(self.learning and self._w_delta is None
-                           and w.min() >= self._w_min and w.max() <= self._w_max
-                           and ix.min() >= 0)
-        state = [np.repeat(a[None], n_lanes, axis=0) for a in (v, ex, np.append(ix, 0), pend)]
-        self._bind(*state)
+                           and store.w.min() >= self._w_min and store.w.max() <= self._w_max
+                           and self._input_x.min() >= 0)
         # weights a run does not change are read from a copy with a pad row,
         # converted to the voltage format once
         if not self.learning or self._w_delta is not None:
@@ -624,10 +625,10 @@ class EventEngine:
                 self._fold_records()
                 self._records = None
             self._frozen = None
-            self._bind_store()
+            self._bind()
             if self._defer:
                 self._defer = False
-                np.minimum(self._w_max, w, out=w)
+                np.minimum(self._w_max, store.w, out=store.w)
 
         # the lanes' packets can be many: the plan goes first, and the fired
         # ids are held once
@@ -647,7 +648,7 @@ class EventEngine:
             lane, t = divmod(int(full[0]), stop_ts)
             raise FifoOverflowError(f"{steps['fired'][lane, t]} neurons fired at step {t}, "
                                     f"output FIFO holds {self.fifo_capacity}")
-        for a, lanes in zip(store.arrays()[1:], state):
+        for a, lanes in state:
             a[:] = lanes[-1, :a.size]
         fired -= f_lane * store.n_exc
         packets = packet_array(fired, f_ts)

@@ -244,6 +244,17 @@ class TestEncode:
         assert run_cli("encode", "--config", cfg2, "--out", out) == 0
         assert (out / "trace.aer").stat().st_size == 0
 
+    def test_reads_only_the_training_split(self, workspace):
+        # encode takes its samples from the training split alone: without the
+        # t10k files it writes the trace it writes with them
+        tmp, cfg = workspace
+        assert run_cli("encode", "--config", cfg, "--out", tmp / "with") == 0
+        for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            (tmp / "mnist" / name).unlink()
+        assert run_cli("encode", "--config", cfg, "--out", tmp / "without") == 0
+        trace = (tmp / "with" / "trace.aer").read_bytes()
+        assert trace and (tmp / "without" / "trace.aer").read_bytes() == trace
+
     def test_encode_then_replay_matches_in_process_run(self, workspace):
         tmp, cfg = workspace
         out = tmp / "out"

@@ -1,4 +1,7 @@
+import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from aersnn.numerics import NumericSpec, QFormat
 from aersnn.plasticity import StdpParams
 from aersnn.topology import (
+    STORE_ARRAYS,
     CheckpointError,
     StateStore,
     TopologyParams,
@@ -208,6 +212,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             store_from_bytes(blob[:10])
 
+    def test_huge_layers_with_a_short_payload_allocate_nothing(self):
+        # the header claims 2**64 - 2**33 + 1 weights: the payload size is
+        # checked from the header alone, before any array is allocated
+        blob = bytearray(store_to_bytes(small_store()))
+        struct.pack_into("<II", blob, 6, 2**32 - 1, 2**32 - 1)  # n_input, n_exc
+        blob = bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="payload size mismatch"):
+                store_from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
 
 MODES = [NumericSpec(), NumericSpec(mode="fixed")]
 
@@ -235,12 +254,18 @@ class TestLayout:
         assert store_to_bytes(store) == blob
 
 
+def payload_sizes(n_input, n_exc):
+    """The element counts of the checkpoint payload's arrays, in the order
+    of ``STORE_ARRAYS``."""
+    return [math.prod(row.shape(n_input, n_exc)) for row in STORE_ARRAYS]
+
+
 def with_payload_value(blob, store, array, index, value):
     """The checkpoint ``blob`` of ``store`` with value ``index`` of payload
-    array ``array`` (0: weights, 1: voltages, ...) replaced."""
+    array ``array`` (its position in ``STORE_ARRAYS``) replaced."""
     blob = bytearray(blob)
     dtype = np.dtype("<i4" if store.numeric.is_fixed else "<f8")
-    sizes = [a.size for a in store.arrays()]
+    sizes = payload_sizes(store.n_input, store.n_exc)
     payload = np.frombuffer(blob, dtype=dtype, offset=len(blob) - sum(sizes) * dtype.itemsize)
     payload[sum(sizes[:array]) + index] = value
     return bytes(blob)
@@ -254,7 +279,7 @@ FIXED = NumericSpec(mode="fixed")  # q8.8 voltages, q2.14 weights
 
 
 class TestCheckpointValues:
-    @pytest.mark.parametrize("array", range(5))
+    @pytest.mark.parametrize("array", range(len(STORE_ARRAYS)))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_rejected(self, array, value):
         blob = with_value(small_store(), array, 1, value)
@@ -282,14 +307,21 @@ class TestCheckpointValues:
         assert loaded.exc_v[2] == -top
 
 
-def holdable(numeric, n_w, values):
-    """Whether a store holds ``values``, the payload whose first ``n_w``
-    are weights: finite floats, or mantissas inside their formats."""
+def value_formats(numeric, n_input, n_exc):
+    """The Q-format of every payload value of an ``n_input`` x ``n_exc``
+    store, from its array's row of ``STORE_ARRAYS``."""
+    return [getattr(numeric, row.fmt)
+            for row, size in zip(STORE_ARRAYS, payload_sizes(n_input, n_exc))
+            for _ in range(size)]
+
+
+def holdable(numeric, n_input, n_exc, values):
+    """Whether an ``n_input`` x ``n_exc`` store holds ``values``, its flat
+    payload: finite floats, or mantissas inside their arrays' formats."""
     if not numeric.is_fixed:
         return bool(np.isfinite(values).all())
-    return all(((part >= fmt.raw_min) & (part <= fmt.raw_max)).all()
-               for part, fmt in ((values[:n_w], numeric.w_format),
-                                 (values[n_w:], numeric.v_format)))
+    return all(fmt.raw_min <= value <= fmt.raw_max
+               for value, fmt in zip(values.tolist(), value_formats(numeric, n_input, n_exc)))
 
 
 # the values an i32 payload mantissa can take
@@ -302,13 +334,13 @@ def payloads(draw):
     nan and the infinities, or i32 mantissas drawn from one past each end
     of their format, one of them maybe from the whole i32 range."""
     n_input, n_exc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    n_w, size = n_input * n_exc, n_input * n_exc + 3 * n_exc + n_input
+    size = sum(payload_sizes(n_input, n_exc))
     if draw(st.booleans()):
         numeric = NumericSpec(mode="fixed",
                               v_format=QFormat(draw(st.integers(1, 16)), draw(st.integers(0, 16))),
                               w_format=QFormat(draw(st.integers(1, 16)), draw(st.integers(0, 16))))
         values = [draw(st.integers(max(fmt.raw_min - 1, I32[0]), min(fmt.raw_max + 1, I32[1])))
-                  for fmt in [numeric.w_format] * n_w + [numeric.v_format] * (size - n_w)]
+                  for fmt in value_formats(numeric, n_input, n_exc)]
         if draw(st.booleans()):
             values[draw(st.integers(0, size - 1))] = draw(st.integers(*I32))
         values = np.array(values, dtype="<i4")
@@ -316,17 +348,47 @@ def payloads(draw):
         numeric = NumericSpec()
         values = np.array(draw(st.lists(st.floats(width=64), min_size=size, max_size=size)))
     blob = store_to_bytes(StateStore(n_input, n_exc, numeric, 0.0))
-    return numeric, n_w, values, blob[:len(blob) - values.nbytes] + values.tobytes()
+    return numeric, (n_input, n_exc), values, blob[:len(blob) - values.nbytes] + values.tobytes()
 
 
 @given(payloads())
 def test_payload_loads_every_value_or_raises(case):
-    numeric, n_w, values, blob = case
-    if not holdable(numeric, n_w, values):
+    numeric, layers, values, blob = case
+    if not holdable(numeric, *layers, values):
         with pytest.raises(CheckpointError):
             store_from_bytes(blob)
         return
     store, _, _ = store_from_bytes(blob)
     loaded = np.concatenate([a.reshape(-1) for a in store.arrays()])
-    assert holdable(numeric, n_w, loaded)
+    assert holdable(numeric, *layers, loaded)
     assert loaded.tobytes() == values.astype(store.arith.dtype).tobytes()
+
+
+@pytest.mark.parametrize("numeric", MODES, ids=["float", "fixed"])
+@pytest.mark.parametrize("row", STORE_ARRAYS, ids=[row.name for row in STORE_ARRAYS])
+def test_every_store_array_follows_its_row(numeric, row):
+    """Each row of ``STORE_ARRAYS`` gives its array's shape, its checkpoint
+    label and Q-format, and its value after ``reset_for_sample``; a copy of
+    the store shares no buffer with it."""
+    tp = TopologyParams(n_input=4, n_exc=3, w_inh=0.5)
+    store = build_network(tp, SP, seed=7, numeric=numeric, v_rest=0.25)
+    assert getattr(store, row.name).shape == row.shape(4, 3)
+
+    fmt = getattr(numeric, row.fmt)
+    value = fmt.raw_max + 1 if numeric.is_fixed else np.nan
+    why = f"outside the {fmt} range" if numeric.is_fixed else "not finite"
+    with pytest.raises(CheckpointError, match=re.escape(f"{row.label}[1] = {value} is {why}")):
+        store_from_bytes(with_value(store, STORE_ARRAYS.index(row), 1, value))
+
+    dup = store.copy()
+    assert not np.shares_memory(getattr(dup, row.name), getattr(store, row.name))
+    assert dup.state_equal(store)
+
+    fill = store.arith.voltage(0.75)
+    for a in store.arrays():
+        a[...] = fill
+    reset_for_sample(store)
+    expected = {"rest": store.rest, 0: 0, None: fill}[row.reset]
+    assert np.all(getattr(store, row.name) == expected)
+    assert np.all(store.w == fill)
+    assert dup.state_equal(build_network(tp, SP, seed=7, numeric=numeric, v_rest=0.25))
