@@ -8,10 +8,16 @@ Subcommands::
     aersnn encode --config run.cfg --out out/          dataset -> AER trace
 
 Shared flags: ``--config`` (key = value file), ``--seed`` (overrides the
-config seed), ``--checkpoint`` (initial store for train, required for
-eval), ``--out`` (artifact directory, default ``out``), ``--numeric-mode``
-(float/fixed override), ``--no-learning`` (freeze the weights: ``train``
-and a trace replay by ``eval`` learn online unless it is given).
+config seed), ``--out`` (artifact directory, default ``out``),
+``--numeric-mode`` (float/fixed override). ``train`` and ``eval`` also take
+``--checkpoint`` (initial store for train, required for eval) and
+``--no-learning`` (freeze the weights: ``train`` and a trace replay by
+``eval`` learn online unless it is given); ``sweep`` and ``encode`` refuse
+both, as neither starts from a checkpoint or has learning to turn off.
+
+Each command reads only the dataset splits it uses: ``eval`` the test
+split, ``encode`` the training split, ``train`` and ``sweep`` both (an ECG
+beat file holds both splits).
 
 Every artifact embeds the config hash and the seed: checkpoints in their
 header, JSON/CSV outputs as fields, binary AER traces via a metadata
@@ -100,17 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", type=Path, help="key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--checkpoint", type=Path, help="checkpoint file")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="artifact output directory")
         p.add_argument("--numeric-mode", choices=("float", "fixed"),
                        help="override numeric.mode")
+
+    for name, text in (("train", "unsupervised online training"),
+                       ("eval", "frozen-weight evaluation or trace replay")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--checkpoint", type=Path, help="checkpoint file")
         p.add_argument("--no-learning", action="store_true",
                        help="freeze weights during train and eval trace replay "
                             "(replay never saves the store)")
-
-    add_common(sub.add_parser("train", help="unsupervised online training"))
-    add_common(sub.add_parser("eval", help="frozen-weight evaluation or trace replay"))
     p_sweep = sub.add_parser("sweep", help="train/evaluate per parameter value")
     p_sweep.add_argument("param", choices=SWEEPABLE_PARAMS)
     p_sweep.add_argument("values", help="comma-separated values")
@@ -129,29 +137,30 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _load_dataset(cfg: RunConfig, with_test: bool = True) -> tuple[list[Sample], list[Sample]]:
-    """The training and test samples. Without ``with_test`` an IDX dataset
-    reads only its training split, and the test list is empty; a beat file
-    holds both splits."""
+def _load_dataset(cfg: RunConfig, *splits: str) -> list[list[Sample]]:
+    """The samples of each of ``splits`` (``"train"``, ``"test"``), in that
+    order. An IDX dataset reads only those splits' files; a beat file holds
+    both splits, and the width and class checks cover all of its beats."""
     if cfg.dataset == "mnist":
-        train = load_mnist(cfg.mnist_dir, "train")
-        test = load_mnist(cfg.mnist_dir, "test") if with_test else []
-        width = train[0].features.size
-        test_width = test[0].features.size if test else width
-        if width != test_width:
-            raise DatasetError(f"{cfg.mnist_dir}: training images have {width} pixels, "
-                               f"test images {test_width}")
+        loaded = [load_mnist(cfg.mnist_dir, split) for split in splits]
+        read = [sample for samples in loaded for sample in samples]
+        widths = {split: samples[0].features.size for split, samples in zip(splits, loaded)}
+        if len(set(widths.values())) > 1:
+            raise DatasetError(f"{cfg.mnist_dir}: training images have {widths['train']} "
+                               f"pixels, test images {widths['test']}")
     else:
-        beats = load_ecg_beats(cfg.ecg_csv)
-        width = beats[0].features.size
-        train, test = split_samples(beats, cfg.test_fraction, derive_seed(cfg.seed, STREAM_SPLIT))
+        read = load_ecg_beats(cfg.ecg_csv)
+        halves = dict(zip(("train", "test"), split_samples(
+            read, cfg.test_fraction, derive_seed(cfg.seed, STREAM_SPLIT))))
+        loaded = [halves[split] for split in splits]
+    width = read[0].features.size
     if cfg.n_input != width:
         raise ConfigError(f"{cfg.dataset} needs topology.n_input = {width}, got {cfg.n_input}")
     n_classes = cfg.resolved_n_classes()
-    top = max((s.label for s in train + test), default=-1)
+    top = max(sample.label for sample in read)
     if top >= n_classes:
         raise ConfigError(f"dataset has class {top}, data.n_classes is only {n_classes}")
-    return train, test
+    return loaded
 
 
 def _check_train_split(cfg: RunConfig, train_set: list[Sample]) -> None:
@@ -204,7 +213,7 @@ def _metrics_record(command: str, cfg_hash: str, seed: int, metrics) -> dict:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
-    train_set, test_set = _load_dataset(cfg)
+    train_set, test_set = _load_dataset(cfg, "train", "test")
     _check_train_split(cfg, train_set)
     _eval_slice(cfg, test_set)
     initial = _load_checkpoint(args.checkpoint, cfg) if args.checkpoint else None
@@ -283,7 +292,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"labels cover {labels.label.shape[0]} neurons, config has {cfg.n_exc}"
         )
-    _, test_set = _load_dataset(cfg)
+    (test_set,) = _load_dataset(cfg, "test")
     test_slice = _eval_slice(cfg, test_set)
     metrics = evaluate(build_engine(cfg, store), labels, test_slice, cfg)
 
@@ -307,7 +316,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    train_set, test_set = _load_dataset(cfg)
+    train_set, test_set = _load_dataset(cfg, "train", "test")
     _check_train_split(cfg, train_set)
     _eval_slice(cfg, test_set)
     points = sweep(args.param, values, cfg, train_set, test_set)
@@ -335,7 +344,7 @@ def cmd_sweep(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _load_config(args)
     cfg_hash = config_hash(cfg)
-    train_set, _ = _load_dataset(cfg, with_test=False)
+    (train_set,) = _load_dataset(cfg, "train")
     subset = slice_counted(train_set, cfg.train_samples)
     streams = [
         poisson_encode(sample, cfg.encoder_params(derive_seed(cfg.seed, STREAM_ENCODE, idx)))

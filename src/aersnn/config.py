@@ -6,6 +6,11 @@ never silently fall back to a default. The canonical serialization (all
 keys, sorted, seed excluded) is hashed to identify every artifact a run
 emits; the seed is reported alongside the hash rather than inside it.
 
+Each key is declared once, on its ``RunConfig`` field; the key map is
+derived from the fields. The parameter bundles each module validates and
+runs on (``LifParams``, ``TopologyParams``, ...) are built by name: every
+bundle field takes the config field of the same name.
+
 All randomness in a run flows from the single root seed, split into
 deterministic per-purpose streams (weight init, per-sample encoder draws
 for the train/label/eval phases, dataset splitting).
@@ -15,12 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .dynamics import LifParams, TraceParams
-from .encoders import EncoderParams
+from .encoders import ECG_CLASSES, EncoderParams
 from .numerics import NumericSpec, QFormat
 from .plasticity import StdpParams
 from .topology import TopologyParams
@@ -59,85 +64,76 @@ def derive_seed(root_seed: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _key(key: str, default):
+    """A ``RunConfig`` field read from, and written as, the dotted ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    # topology
-    n_input: int = 784
-    n_exc: int = 100
-    w_inh: float = 1.5
-    # lif
-    v_rest: float = 0.0
-    v_thresh: float = 10.0
-    tau_v: float = 100.0
-    # trace
-    tau_x: float = 20.0
-    alpha: float = 1.0
-    x_max: float = 10.0
-    # stdp
-    alpha_pre: float = 0.01
-    alpha_post: float = 0.004
-    w_min: float = 0.0
-    w_max: float = 1.0
-    # encoder
-    timesteps: int = 350
-    max_rate: float = 0.25
-    # engine
-    dt: float = 1.0
-    v_floor: float | None = None
-    fifo_capacity: int = 4096
-    batch_size: int = 1
-    log_activations: bool = False
-    # numeric
-    mode: str = "float"
-    v_format: str = "q8.8"
-    w_format: str = "q2.14"
-    # train / eval sample counts; -1 means the whole split, 0 means none
-    train_samples: int = 10000
-    epochs: int = 1
-    label_fraction: float = 0.1
-    eval_samples: int = 2000
-    # data
-    dataset: str = "mnist"
-    mnist_dir: str = "data/mnist"
-    ecg_csv: str = "data/ecg_beats.csv"
-    n_classes: int = 0
-    test_fraction: float = 0.25
-    aer_trace: str = ""
-    # run
-    seed: int = 1
+    n_input: int = _key("topology.n_input", 784)
+    n_exc: int = _key("topology.n_exc", 100)
+    w_inh: float = _key("topology.w_inh", 1.5)
+    v_rest: float = _key("lif.v_rest", 0.0)
+    v_thresh: float = _key("lif.v_thresh", 10.0)
+    tau_v: float = _key("lif.tau_v", 100.0)
+    tau_x: float = _key("trace.tau_x", 20.0)
+    alpha: float = _key("trace.alpha", 1.0)
+    x_max: float = _key("trace.x_max", 10.0)
+    alpha_pre: float = _key("stdp.alpha_pre", 0.01)
+    alpha_post: float = _key("stdp.alpha_post", 0.004)
+    w_min: float = _key("stdp.w_min", 0.0)
+    w_max: float = _key("stdp.w_max", 1.0)
+    timesteps: int = _key("encoder.timesteps", 350)
+    max_rate: float = _key("encoder.max_rate", 0.25)
+    dt: float = _key("engine.dt", 1.0)
+    v_floor: float | None = _key("engine.v_floor", None)
+    fifo_capacity: int = _key("engine.fifo_capacity", 4096)
+    batch_size: int = _key("engine.batch_size", 1)
+    log_activations: bool = _key("engine.log_activations", False)
+    mode: str = _key("numeric.mode", "float")
+    v_format: str = _key("numeric.v_format", "q8.8")
+    w_format: str = _key("numeric.w_format", "q2.14")
+    # sample counts: -1 means the whole split, 0 means none
+    train_samples: int = _key("train.samples", 10000)
+    epochs: int = _key("train.epochs", 1)
+    label_fraction: float = _key("train.label_fraction", 0.1)
+    eval_samples: int = _key("eval.samples", 2000)
+    dataset: str = _key("data.dataset", "mnist")
+    mnist_dir: str = _key("data.mnist_dir", "data/mnist")
+    ecg_csv: str = _key("data.ecg_csv", "data/ecg_beats.csv")
+    n_classes: int = _key("data.n_classes", 0)
+    test_fraction: float = _key("data.test_fraction", 0.25)
+    aer_trace: str = _key("data.aer_trace", "")
+    seed: int = _key("run.seed", 1)
 
     # -- parameter bundles --------------------------------------------------
 
+    def _bundle(self, cls, **given):
+        """``cls`` built from ``given`` and, for each of its other fields,
+        this config's field of the same name (an ``AttributeError`` if
+        there is none, which ``validate`` lets through)."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)
+                      if f.name not in given}, **given)
+
     def topology_params(self) -> TopologyParams:
-        return TopologyParams(n_input=self.n_input, n_exc=self.n_exc, w_inh=self.w_inh)
+        return self._bundle(TopologyParams)
 
     def lif_params(self) -> LifParams:
-        return LifParams(
-            v_rest=self.v_rest, v_thresh=self.v_thresh, tau_v=self.tau_v, dt=self.dt
-        )
+        return self._bundle(LifParams)
 
     def trace_params(self) -> TraceParams:
-        return TraceParams(
-            tau_x=self.tau_x, alpha=self.alpha, x_max=self.x_max, dt=self.dt
-        )
+        return self._bundle(TraceParams)
 
     def stdp_params(self) -> StdpParams:
-        return StdpParams(
-            alpha_pre=self.alpha_pre,
-            alpha_post=self.alpha_post,
-            w_min=self.w_min,
-            w_max=self.w_max,
-        )
+        return self._bundle(StdpParams)
 
     def encoder_params(self, seed: int) -> EncoderParams:
-        return EncoderParams(timesteps=self.timesteps, max_rate=self.max_rate, seed=seed)
+        return self._bundle(EncoderParams, seed=seed)
 
     def numeric_spec(self) -> NumericSpec:
-        return NumericSpec(
-            mode=self.mode,
-            v_format=QFormat.from_string(self.v_format),
-            w_format=QFormat.from_string(self.w_format),
-        )
+        return self._bundle(NumericSpec, v_format=QFormat.from_string(self.v_format),
+                            w_format=QFormat.from_string(self.w_format))
 
     def resolved_v_floor(self) -> float:
         return -self.v_thresh if self.v_floor is None else self.v_floor
@@ -145,7 +141,7 @@ class RunConfig:
     def resolved_n_classes(self) -> int:
         if self.n_classes > 0:
             return self.n_classes
-        return 4 if self.dataset == "ecg" else 10
+        return ECG_CLASSES if self.dataset == "ecg" else 10
 
     def validate(self) -> None:
         """Build every parameter bundle so each module's invariants run."""
@@ -179,42 +175,7 @@ class RunConfig:
 
 
 # dotted config key -> dataclass field
-_KEY_MAP = {
-    "topology.n_input": "n_input",
-    "topology.n_exc": "n_exc",
-    "topology.w_inh": "w_inh",
-    "lif.v_rest": "v_rest",
-    "lif.v_thresh": "v_thresh",
-    "lif.tau_v": "tau_v",
-    "trace.tau_x": "tau_x",
-    "trace.alpha": "alpha",
-    "trace.x_max": "x_max",
-    "stdp.alpha_pre": "alpha_pre",
-    "stdp.alpha_post": "alpha_post",
-    "stdp.w_min": "w_min",
-    "stdp.w_max": "w_max",
-    "encoder.timesteps": "timesteps",
-    "encoder.max_rate": "max_rate",
-    "engine.dt": "dt",
-    "engine.v_floor": "v_floor",
-    "engine.fifo_capacity": "fifo_capacity",
-    "engine.batch_size": "batch_size",
-    "engine.log_activations": "log_activations",
-    "numeric.mode": "mode",
-    "numeric.v_format": "v_format",
-    "numeric.w_format": "w_format",
-    "train.samples": "train_samples",
-    "train.epochs": "epochs",
-    "train.label_fraction": "label_fraction",
-    "eval.samples": "eval_samples",
-    "data.dataset": "dataset",
-    "data.mnist_dir": "mnist_dir",
-    "data.ecg_csv": "ecg_csv",
-    "data.n_classes": "n_classes",
-    "data.test_fraction": "test_fraction",
-    "data.aer_trace": "aer_trace",
-    "run.seed": "seed",
-}
+_KEY_MAP = {f.metadata["key"]: f.name for f in fields(RunConfig)}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 

@@ -187,6 +187,40 @@ class TestEval:
         tmp, cfg = workspace
         assert run_cli("eval", "--config", cfg, "--out", tmp / "x") == 1
 
+    def test_reads_only_the_test_split(self, workspace):
+        # eval takes its samples from the test split alone: without the
+        # train files it writes the metrics it writes with them
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run_cli("train", "--config", cfg, "--out", out) == 0
+        assert run_cli("eval", "--config", cfg, "--out", tmp / "with",
+                       "--checkpoint", out / "checkpoint.aern") == 0
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (tmp / "mnist" / name).unlink()
+        assert run_cli("eval", "--config", cfg, "--out", tmp / "without",
+                       "--checkpoint", out / "checkpoint.aern") == 0
+        metrics = (tmp / "with" / "metrics.jsonl").read_bytes()
+        assert metrics and (tmp / "without" / "metrics.jsonl").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--no-learning"])
+@pytest.mark.parametrize("command", [["sweep", "v_thresh", "4.0"], ["encode"]],
+                         ids=["sweep", "encode"])
+def test_sweep_and_encode_refuse_the_flags_they_would_ignore(workspace, capsys,
+                                                              command, flag):
+    # neither starts from a checkpoint nor can freeze learning: argparse
+    # refuses the flags rather than the run dropping them
+    tmp, cfg = workspace
+    argv = [*command, "--config", cfg, "--out", tmp / "x", flag]
+    if flag == "--checkpoint":
+        argv.append(tmp / "checkpoint.aern")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp / "x").exists()
+
 
 class TestSweep:
     def test_rows_match_values(self, workspace):
@@ -614,6 +648,14 @@ REJECTED_UP_FRONT = {
         _beats_config(tmp, cfg, four_class_beats(n_per_class=1),
                       "data.test_fraction = 0.9\n"),
         "--out", tmp / "x"],
+    # eval reads the test split alone, so its 30 x 30 digits meet the
+    # config's width check, not the training digits
+    "eval-digit-splits-differ": _with_digits(28, "eval", test_side=30),
+}
+
+# name: the one line a case of REJECTED_UP_FRONT prints, where it is pinned
+UP_FRONT_LINES = {
+    "eval-digit-splits-differ": "error: mnist needs topology.n_input = 900, got 784",
 }
 
 
@@ -625,6 +667,8 @@ def test_rejected_up_front_with_one_line(workspace, capsys, name):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    if name in UP_FRONT_LINES:
+        assert err[0] == UP_FRONT_LINES[name]
     assert not (tmp / "x").exists()
 
 
@@ -642,7 +686,6 @@ REJECTED_AS_IO = {
     "train-beat-inf": _beats_with(np.inf),
     "train-beat-minus-inf": _beats_with(-np.inf),
     "train-digit-splits-differ": _with_digits(28, test_side=10),
-    "eval-digit-splits-differ": _with_digits(28, "eval", test_side=30),
 }
 
 

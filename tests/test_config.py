@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 
 import pytest
 
@@ -86,6 +86,13 @@ class TestValidate:
         with pytest.raises(ConfigError):
             RunConfig(max_rate=2.0).validate()
 
+    def test_bundle_field_without_a_config_field_fails_loudly(self):
+        # bundles take every field from the config field of its name
+        bundle = make_dataclass("Bundle", [("n_exc", int), ("theta", float, 0.0)])
+        with pytest.raises(AttributeError, match="theta"):
+            RunConfig()._bundle(bundle)
+        assert RunConfig()._bundle(bundle, theta=0.5) == bundle(n_exc=100, theta=0.5)
+
     def test_negative_n_classes_is_an_error(self):
         assert RunConfig(n_classes=0).resolved_n_classes() == 10
         RunConfig(n_classes=0).validate()
@@ -110,6 +117,13 @@ class TestConfigHash:
         # canonical text parses back to the same config (minus seed)
         reparsed = parse_config(text)
         assert config_hash(reparsed) == config_hash(RunConfig())
+
+    def test_hash_of_the_default_and_ecg_fixed_configs(self):
+        # pins the key table itself, besides the artifacts that embed the hash
+        assert config_hash(RunConfig()) == (
+            "44b73ce2847a397550e022c3c3cf9f0ab4e61ee9d0cc67be0d2cbc4ef5a0b8f5")
+        assert config_hash(RunConfig(dataset="ecg", mode="fixed")) == (
+            "df2488ac8f2e4b48dfbd2dbda514b821261b582ffa32254fda9dd483dec071dd")
 
     def test_every_field_has_one_key(self):
         # canonical_text, so config_hash, covers exactly the mapped keys: a
