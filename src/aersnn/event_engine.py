@@ -61,7 +61,10 @@ earlier occurrence. It counts, into one per-step record per lane
 (``STEP_DTYPE``), the packets that arrived, the packets integrated and
 the neurons fired, so no handler counts; ``EngineStats`` holds its column
 sums. Each lane's ``RunResult`` holds both, and the engine keeps the last
-lane's record as ``steps``.
+lane's record as ``steps``. That record is all a run keeps per timestep:
+beyond it, it holds objects only for the steps that have packets or
+fire, so a long quiet stretch, as in a replayed recording, costs its 24
+bytes a step per lane.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -270,16 +273,17 @@ def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> 
         raise ValueError(f"lif.v_rest {lif.v_rest} does not match store v_rest {store.v_rest}")
 
 
-def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, list]:
+def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, dict]:
     """Check every stream, lowest lane first. Return the lanes' ``(lanes,
     stop_ts)`` step records of the packets that arrived and those
-    integrated, and per timestep the ``(lanes, K)`` id arrays the lanes
-    integrate in turn: a lane's ids of the step inside the input layer,
-    cut into consecutive runs in which no id repeats (a step whose ids
-    ascend is one run, any other is cut before each id already seen in
-    its run). Array k holds run k of every lane, short rows filled up with
-    the pad id ``n_input``; lane b's ids are offset by ``b * (n_input +
-    1)``, so they index its input traces in the lanes' flat state."""
+    integrated, and, keyed by each timestep that integrates any, the
+    ``(lanes, K)`` id arrays the lanes integrate in turn: a lane's ids of
+    the step inside the input layer, cut into consecutive runs in which no
+    id repeats (a step whose ids ascend is one run, any other is cut
+    before each id already seen in its run). Array k holds run k of every
+    lane, short rows filled up with the pad id ``n_input``; lane b's ids
+    are offset by ``b * (n_input + 1)``, so they index its input traces in
+    the lanes' flat state."""
     streams = [np.asarray(packets) for packets in streams]
     for packets in streams:
         _check_stream(packets["timestamp"], stop_ts)
@@ -296,7 +300,7 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     if not keep.all():
         key, ids = key[keep], ids[keep]
     steps["integrated"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
-    runs = [[] for _ in range(stop_ts)]
+    runs = {}
     if not ids.size:
         return steps, runs
     # a cell is one run of one lane's step, block (t, k) run k of step t
@@ -333,7 +337,7 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
         flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
     blocks = np.flatnonzero(width)
     for b, lo, hi in zip(blocks.tolist(), offset[blocks].tolist(), offset[blocks + 1].tolist()):
-        runs[b // n_runs].append(flat[lo:hi].reshape(n_lanes, -1))
+        runs.setdefault(b // n_runs, []).append(flat[lo:hi].reshape(n_lanes, -1))
     return steps, runs
 
 
@@ -613,13 +617,17 @@ class EventEngine:
             self._records = (np.zeros((rows, store.n_input + 1), np.int64),
                              np.zeros((rows, store.n_exc), np.int64),
                              fold_work(rows, store.n_input, store.n_exc))
-        fired_per_step = []
+        # the fired ids of the steps that fire, and those steps
+        fired_per_step, fire_steps = [], []
         try:
             for t in range(stop_ts):
-                for run in runs[t]:
+                for run in runs.get(t, ()):
                     self.integrate_handler(run)
                 self.leak_handler()
-                fired_per_step.append(self.fire_handler())
+                fired = self.fire_handler()
+                if fired.size:
+                    fired_per_step.append(fired)
+                    fire_steps.append(t)
         finally:
             if self._records is not None:
                 self._fold_records()
@@ -636,7 +644,7 @@ class EventEngine:
         sizes = [f.size for f in fired_per_step]
         fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
         del fired_per_step
-        f_ts = np.repeat(np.arange(stop_ts, dtype=np.uint32), sizes)
+        f_ts = np.repeat(np.array(fire_steps, dtype=np.uint32), sizes)
         f_lane = fired // store.n_exc
         key = f_lane * stop_ts  # lane * stop_ts + timestep, as in the plan
         key += f_ts

@@ -397,10 +397,6 @@ class FloatArithmetic:
             # every x, where +0.0 + -0.0 would lose the sign of a zero sum
             np.add.reduce(rows, axis=1, out=v, initial=-0.0)
 
-    def repeated_sums(self, amount: float, n: int) -> np.ndarray:
-        """``sums[m]``: ``amount`` added m times in sequence to zero, m = 0..n."""
-        return np.concatenate(([0.0], np.cumsum(np.full(n, amount))))
-
 
 class FixedArithmetic:
     """Int64 mantissas: voltages and traces in ``v_format``, weights in
@@ -461,11 +457,6 @@ class FixedArithmetic:
         # otherwise add the rows one at a time, saturating each add
         for k in range(n_rows):
             saturate_raw(v + rows[:, k], self.v_min, self.v_max, out=v)
-
-    def repeated_sums(self, amount: int, n: int) -> np.ndarray:
-        # saturating adds of a nonnegative amount sum to min(total, top), so
-        # one saturation of the final sum (``saturate_v``) is enough
-        return np.arange(n + 1, dtype=np.int64) * amount
 
 
 @dataclass(frozen=True)

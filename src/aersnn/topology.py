@@ -57,6 +57,10 @@ CHECKPOINT_MAGIC = b"AERN"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIBBBBBdQ32s")
 
+# AER packets carry 16-bit neuron ids, into the input layer and out of the
+# excitatory one, so neither layer holds more neurons than this
+MAX_LAYER_SIZE = 1 << 16
+
 # Fraction of the weight range kept clear at both ends by the initializer:
 # zero weights cannot recover under trace updates and saturated ones stall
 # depression, so fresh synapses start strictly inside the bounds.
@@ -70,11 +74,10 @@ class TopologyParams:
     w_inh: float
 
     def __post_init__(self) -> None:
-        if self.n_input < 1:
-            raise ValueError(f"n_input must be >= 1, got {self.n_input}")
-        if not 1 <= self.n_exc <= 65536:
-            # output packets carry 16-bit neuron ids
-            raise ValueError(f"n_exc must be in [1, 65536], got {self.n_exc}")
+        for name in ("n_input", "n_exc"):
+            size = getattr(self, name)
+            if not 1 <= size <= MAX_LAYER_SIZE:
+                raise ValueError(f"{name} must be in [1, {MAX_LAYER_SIZE}], got {size}")
         if self.w_inh < 0:
             raise ValueError(f"w_inh must be >= 0, got {self.w_inh}")
 
@@ -168,8 +171,14 @@ def build_network(
 
 def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
     """``credit[m]``: the pending inhibition m firings queue against one
-    neuron, for m = 0..n_exc, in store units."""
-    return store.arith.repeated_sums(store.arith.voltage(w_inh), store.n_exc)
+    neuron, for m = 0..n_exc, in store units: ``w_inh`` added m times in
+    sequence to zero. A cumulative sum adds in sequence; in int64 it is
+    exactly ``m * w_inh``."""
+    arith = store.arith
+    # saturating adds of a nonnegative amount sum to min(total, top), so one
+    # saturation of the final sum (``saturate_v``) is enough in fixed mode
+    amount = np.full(store.n_exc, arith.voltage(w_inh), dtype=arith.dtype)
+    return np.concatenate(([0], np.cumsum(amount)))
 
 
 def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
@@ -244,6 +253,9 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
         )
     if mode not in (0, 1):
         raise CheckpointError(f"bad numeric mode byte {mode}")
+    # a store's rest voltage is a value of its format
+    if not math.isfinite(v_rest):
+        raise CheckpointError(f"rest voltage {v_rest} is not finite")
     try:
         numeric = NumericSpec(
             mode=("float", "fixed")[mode],

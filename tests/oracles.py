@@ -91,7 +91,7 @@ def step_by_handlers(engine, packets, stop_ts: int) -> None:
     records by the block."""
     _, runs = _plan_lanes([packets], stop_ts, engine.store.n_input)
     for t in range(stop_ts):
-        for ids in runs[t]:
+        for ids in runs.get(t, ()):
             engine.integrate_handler(ids)
         engine.leak_handler()
         engine.fire_handler()

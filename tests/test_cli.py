@@ -1,9 +1,15 @@
 import gzip
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aersnn
 from aersnn.cli import _write_lines, main
 from aersnn.event_engine import packet_array, read_aer_file, write_aer_file
 from aersnn.topology import load_store
@@ -481,6 +487,21 @@ def _corrupt_deflate(packed):
     return bytes(packed)
 
 
+def _with_checkpoint_rest(command, value):
+    """argv of ``command`` from a trained fixed-mode checkpoint whose header
+    ``v_rest`` is ``value``: no value of the voltage format."""
+    def build(tmp, cfg):
+        fixed = tmp / "fixed.cfg"
+        fixed.write_text(cfg.read_text() + "numeric.mode = fixed\n")
+        assert run_cli("train", "--config", fixed, "--out", tmp / "out") == 0
+        path = tmp / "out" / "checkpoint.aern"
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 19, value)  # after the mode byte
+        path.write_bytes(bytes(blob))
+        return [command, "--config", fixed, "--checkpoint", path, "--out", tmp / "x"]
+    return build
+
+
 # name: (expected exit code, stderr prefix, argv builder)
 BOUNDARY_CASES = {
     "seed-negative": (1, "error:", lambda tmp, cfg: [
@@ -499,6 +520,10 @@ BOUNDARY_CASES = {
         tmp, cfg, _edit_labels("label", lambda label: [-1] * len(label)))),
     "n-classes-below-labels": (1, "error:", _train_with_three_classes),
     "checkpoint-v-rest-mismatch": (1, "error:", _eval_with_other_rest),
+    "train-checkpoint-v-rest-nan": (1, "error:", _with_checkpoint_rest("train", np.nan)),
+    "train-checkpoint-v-rest-inf": (1, "error:", _with_checkpoint_rest("train", np.inf)),
+    "eval-checkpoint-v-rest-nan": (1, "error:", _with_checkpoint_rest("eval", np.nan)),
+    "eval-checkpoint-v-rest-minus-inf": (1, "error:", _with_checkpoint_rest("eval", -np.inf)),
     "config-not-utf8": (1, "error:", _train_with_config_bytes),
     "beats-csv-not-utf8": (2, "io error:", _train_on_beats_with_byte),
     "idx-gzip-truncated": (2, "io error:", _train_on_gzip_images(
@@ -533,6 +558,17 @@ def test_interrupted_artifact_write_leaves_old_file(tmp_path):
         _write_lines(target, lines())
     assert target.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_the_program_does_not_load_its_oracle():
+    # the dense float oracle is for tests and the benchmark; a fresh
+    # interpreter shows what importing the command line loads
+    src = Path(aersnn.__file__).parents[1]
+    code = "import sys, aersnn.cli; print('aersnn.reference_sim' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def _train_with_config(tmp, cfg, extra):
@@ -592,6 +628,24 @@ def _with_checkpoint_value(command, mode, array, value):
     return build
 
 
+def _with_wide_digits(command):
+    """argv of ``command`` on digits of 1 x 70000 pixels, with a config whose
+    ``topology.n_input`` fits them: wider than 16-bit input ids reach."""
+    def build(tmp, cfg):
+        from conftest import write_idx_images, write_idx_labels
+
+        rng = np.random.default_rng(3)
+        for split, n in (("train", 12), ("t10k", 6)):
+            write_idx_images(tmp / "mnist" / f"{split}-images-idx3-ubyte",
+                             rng.integers(0, 256, (n, 1, 70000), dtype=np.uint8))
+            write_idx_labels(tmp / "mnist" / f"{split}-labels-idx1-ubyte", np.arange(n) % 10)
+        wide = tmp / "wide.cfg"
+        wide.write_text(cfg.read_text() + "topology.n_input = 70000\ntopology.n_exc = 2\n"
+                        "encoder.timesteps = 5\n")
+        return [command, "--config", wide, "--out", tmp / "x"]
+    return build
+
+
 # name: argv builder of a command that must exit 1 before it writes to x
 REJECTED_UP_FRONT = {
     # the config keeps the default topology.n_input = 784
@@ -635,6 +689,9 @@ REJECTED_UP_FRONT = {
     "train-n-exc-past-16-bits": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "topology.n_exc = 70000\n"),
     "sweep-n-exc-past-16-bits": _sweep("n_exc", "12,70000"),
+    # so do input packets: rejected before the encoder makes an id past them
+    "train-n-input-past-16-bits": _with_wide_digits("train"),
+    "encode-n-input-past-16-bits": _with_wide_digits("encode"),
     # the text trace's key is gone, and unknown keys are errors
     "train-write-text-trace": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "data.write_text_trace = true\n"),
@@ -656,6 +713,8 @@ REJECTED_UP_FRONT = {
 # name: the one line a case of REJECTED_UP_FRONT prints, where it is pinned
 UP_FRONT_LINES = {
     "eval-digit-splits-differ": "error: mnist needs topology.n_input = 900, got 784",
+    "train-n-input-past-16-bits": "error: n_input must be in [1, 65536], got 70000",
+    "encode-n-input-past-16-bits": "error: n_input must be in [1, 65536], got 70000",
 }
 
 

@@ -65,6 +65,12 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             TopologyParams(n_input=3, n_exc=0, w_inh=0.5)
 
+    def test_n_input_fits_the_16_bit_input_ids(self):
+        # input packets carry 16-bit ids: input 65535 is the last one
+        TopologyParams(n_input=65536, n_exc=1, w_inh=0.5)
+        with pytest.raises(ValueError, match=r"n_input must be in \[1, 65536\], got 65537"):
+            TopologyParams(n_input=65537, n_exc=1, w_inh=0.5)
+
     def test_n_exc_fits_the_16_bit_output_ids(self):
         # output packets carry 16-bit ids: neuron 65535 is the last one
         TopologyParams(n_input=1, n_exc=65536, w_inh=0.5)
@@ -203,6 +209,14 @@ class TestCheckpoint:
         blob = bytearray(store_to_bytes(small_store()))
         blob[18] = 7  # the numeric mode byte: 0 float, 1 fixed
         with pytest.raises(CheckpointError, match="mode byte 7"):
+            store_from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    @pytest.mark.parametrize("v_rest", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rest_voltage_rejected(self, mode, v_rest):
+        blob = bytearray(store_to_bytes(small_store(numeric=NumericSpec(mode=mode))))
+        struct.pack_into("<d", blob, 19, v_rest)  # after the mode byte
+        with pytest.raises(CheckpointError, match=r"rest voltage -?(nan|inf) is not finite"):
             store_from_bytes(bytes(blob))
 
     def test_truncation_rejected(self):
