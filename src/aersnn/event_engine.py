@@ -6,7 +6,9 @@ stream of them is one record array of ``PACKET_DTYPE``: a packed
 little-endian u16 ``neuron_id`` and u32 ``timestamp``, 6 bytes per packet,
 which is byte for byte the binary trace file format.
 
-The engine closes timesteps ``0 .. stop_ts - 1`` in order. Per step:
+The engine closes timesteps ``0 .. stop_ts - 1`` in order. Per step, with
+the trace bumps and decays done only when ``learning`` is on (the weight
+updates alone read the traces, so a frozen run leaves them as they were):
 
     integrate  the step's packets in stream order: add the packet's weight
                row to the excitatory voltages, depress that row by the
@@ -31,27 +33,28 @@ step record: more neurons than that firing in one step raises
 
 ``run_lanes`` runs several streams in lockstep lanes, and ``run`` is its
 one-lane case. The handlers act on lane state: ``(lanes, n)`` copies of
-every non-weight store array, plus one pad element for input-layer arrays
-(the pad id, below); a run offsets lane b's ids by ``b * (n_input + 1)``,
-so they index the flat input traces. A run copies the store's state into
-every lane and writes the last lane's end state back when it succeeds, so
-lanes equal the streams run one by one through ``run`` from that state;
-outside a run the lane state is one lane of views of the store's arrays. A
-learning run takes more than one lane only when its updates accumulate and
-the store's arithmetic sums them exactly (``learns_in_lanes``: fixed mode):
-the lanes then read the same frozen weights, and int64 adds give the
-same delta sums in any order. Such a run, one lane included, records every
-update as a rank-1 row pair per lane: a depression as a -1 indicator over
-the lane's integrated ids times its drop, a potentiation as its gains
-times its 0/1 fired row. It folds the records into the delta buffer with
-one product (``numerics.fold_rank1_raw``) whenever the next rows would
-not fit in ``RECORD_ROWS``, and once more when it ends, also when it
-raises. Float deltas would round
-differently in another order, so a float learning run, and one that
-updates the live weights, runs one lane and updates at every step, as do
-handlers called outside a run. Every stream is checked before any state
-changes, the lowest bad lane raising; a FIFO overflow raises for the
-lowest lane that overflows, as run one by one it would come first.
+every non-weight store array the run updates (a frozen run: the voltages
+and pending inhibition, none of the learning-only traces), plus one pad
+element for input-layer arrays (the pad id, below); a run offsets lane b's
+ids by ``b * (n_input + 1)``, so they index the flat input traces. A run
+copies the store's state into every lane and writes the last lane's end
+state back when it succeeds, so lanes equal the streams run one by one
+through ``run`` from that state; outside a run the lane state is one lane
+of views of the store's arrays. A learning run takes more than one lane
+only when its updates accumulate and the store's arithmetic sums them
+exactly (``learns_in_lanes``: fixed mode): the lanes then read the same
+frozen weights, and int64 adds give the same delta sums in any order. Such
+a run, one lane included, records every update as a rank-1 row pair per
+lane: a depression as a -1 indicator over the lane's integrated ids times
+its drop, a potentiation as its gains times its 0/1 fired row. It folds the
+records into the delta buffer with one product
+(``numerics.fold_rank1_raw``) whenever the next rows would not fit in
+``RECORD_ROWS``, and once more when it ends, also when it raises. Float
+deltas would round differently in another order, so a float learning run,
+and one that updates the live weights, runs one lane and updates at every
+step, as do handlers called outside a run. Every stream is checked before
+any state changes, the lowest bad lane raising; a FIFO overflow raises for
+the lowest lane that overflows, as run one by one it would come first.
 
 The run owns its streams, as the controller does in hardware: once per
 call it drops the ids outside the input layer, and splits the ids of a
@@ -235,7 +238,7 @@ class EngineStats:
         n_in, n_int = int(steps["packets_in"].sum()), int(steps["integrated"].sum())
         return cls(packets_in=n_in, packets_integrated=n_int, packets_dropped=n_in - n_int,
                    packets_out=int(steps["fired"].sum()), timesteps=len(steps),
-                   idle_steps=int((steps["integrated"] == 0).sum()))
+                   idle_steps=len(steps) - int(np.count_nonzero(steps["integrated"])))
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -295,11 +298,12 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
         np.add(packets["timestamp"], lane * stop_ts, out=key[lo:hi], dtype=np.int64)
         ids[lo:hi] = packets["neuron_id"]
     steps = np.zeros((n_lanes, stop_ts), dtype=STEP_DTYPE)
-    steps["packets_in"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
+    record = steps.reshape(-1)
     keep = ids < n_input
-    if not keep.all():
+    dropped = not keep.all()
+    if dropped:
+        np.add.at(record["packets_in"], key, 1)
         key, ids = key[keep], ids[keep]
-    steps["integrated"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
     runs = {}
     if not ids.size:
         return steps, runs
@@ -319,24 +323,35 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     size = np.diff(cell, append=ids.size)
     cell_key = key[cell]
     cell_lane, cell_ts = np.divmod(cell_key, stop_ts)
+    first = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
+    # the keys ascend, so a key's first cell starts its integrated packets
+    counts = np.diff(cell[first], append=ids.size)
+    for column in ("integrated",) if dropped else ("integrated", "packets_in"):
+        record[column][cell_key[first]] = counts
     # the run index of a cell counts the cells of its lane's step before it
     index = np.arange(cell.size)
-    first = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
     cell_run = index - np.maximum.accumulate(np.where(first, index, 0))
     n_runs = int(cell_run.max()) + 1
     block = cell_ts * n_runs + cell_run
-    width = np.zeros(stop_ts * n_runs, dtype=np.intp)
-    np.maximum.at(width, block, size)
-    offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
-    flat = ids  # one lane's cells are its blocks, in order
-    if n_lanes > 1:
+    if n_lanes == 1:
+        # one lane's cells are its blocks, ascending, and hold its ids in order
+        blocks, flat, offset = block, ids, np.append(cell, ids.size)
+    else:
+        # the occupied blocks: each lane's ascend, so a stable sort merges them
+        order = np.argsort(block, kind="stable")
+        sorted_block = block[order]
+        new_block = np.concatenate(([True], sorted_block[1:] != sorted_block[:-1]))
+        blocks = sorted_block[new_block]
+        where = np.empty_like(order)
+        where[order] = np.cumsum(new_block) - 1
+        width = np.maximum.reduceat(size[order], np.flatnonzero(new_block))
+        offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
         ids += np.repeat(cell_lane * (n_input + 1), size)
         pads = np.arange(n_lanes) * (n_input + 1) + n_input
-        flat = np.repeat(np.tile(pads, width.size), np.repeat(width, n_lanes))
-        start = offset[block] + cell_lane * width[block]
+        flat = np.repeat(np.tile(pads, blocks.size), np.repeat(width, n_lanes))
+        start = offset[where] + cell_lane * width[where]
         flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
-    blocks = np.flatnonzero(width)
-    for b, lo, hi in zip(blocks.tolist(), offset[blocks].tolist(), offset[blocks + 1].tolist()):
+    for b, lo, hi in zip(blocks.tolist(), offset[:-1].tolist(), offset[1:].tolist()):
         runs.setdefault(b // n_runs, []).append(flat[lo:hi].reshape(n_lanes, -1))
     return steps, runs
 
@@ -346,15 +361,11 @@ class EventEngine:
 
     One engine instance is strictly sequential, mirroring the
     time-multiplexed hardware; run independent stores for parallelism.
-    ``learning`` can be toggled between runs (inference leaves weights
-    bit-identical). With ``accumulate_updates`` the depression and
+    ``learning`` can be toggled between runs (inference leaves weights and
+    traces bit-identical). With ``accumulate_updates`` the depression and
     potentiation amounts collect in a side buffer instead of the live
     weights until ``apply_accumulated_updates``, which ``evaluator``'s
-    sample driver calls after each learning batch. Then the weights stay
-    frozen within a batch, and where the arithmetic sums exactly (fixed
-    mode) the samples of a batch may learn in lanes of one ``run_lanes``,
-    which collects the updates as rank-1 records and folds them into the
-    side buffer by the block.
+    sample driver calls after each learning batch.
     """
 
     def __init__(
@@ -414,20 +425,20 @@ class EventEngine:
         """Bind the handlers' lane state: per row of ``LANE_ARRAYS`` its
         ``(lanes, n)`` lanes as ``_<name>`` and their flat view as
         ``_<name>_flat``. ``n_lanes`` lanes are copies of the store's array,
-        with one more element, the pad id's, for an array over the input
-        layer; none is one lane of views of the store's arrays, for handler
-        calls made outside a run. Returns each store array with its lanes."""
+        with one more element, the pad id's, over the input layer; handler
+        calls outside a run, and a frozen run for the learning-only arrays,
+        bind one lane of views instead. Returns each copied array and lanes."""
         store = self.store
         pairs = []
         for row in LANE_ARRAYS:
             a = getattr(store, row.name)
             lanes = a[None]
-            if n_lanes:
+            if n_lanes and (self.learning or not row.learning_only):
                 lanes = np.zeros((n_lanes, *row.shape(store.n_input + 1, store.n_exc)), a.dtype)
                 lanes[:, :a.size] = a
+                pairs.append((a, lanes))
             setattr(self, f"_{row.name}", lanes)
             setattr(self, f"_{row.name}_flat", lanes.reshape(-1))
-            pairs.append((a, lanes))
         return pairs
 
     # -- handlers ---------------------------------------------------------
@@ -435,11 +446,11 @@ class EventEngine:
     def integrate_handler(self, ids: np.ndarray) -> None:
         """Apply one run of input spikes per lane, in stream order: lane b
         adds the weight rows ``ids[b, 0], ids[b, 1], ...`` of the ``(lanes,
-        K)`` ids to its excitatory voltages, depresses the rows by its
-        post-synaptic traces and bumps its input traces. The ids of a lane
-        must be inside the input layer and distinct, and lane b's offset by
-        ``b * (n_input + 1)``; ``run_lanes`` plans its streams so, and fills
-        short rows of a frozen run with the pad id ``n_input``."""
+        K)`` ids to its excitatory voltages and, when learning, depresses the
+        rows by its post-synaptic traces and bumps its input traces. The ids
+        of a lane must be inside the input layer and distinct, and lane b's
+        offset by ``b * (n_input + 1)``; ``run_lanes`` plans its streams so,
+        and fills short rows of a frozen run with the pad id ``n_input``."""
         ar, store = self.arith, self.store
         if self._frozen is not None:
             # the copy's n_input + 1 rows take the lane offsets off
@@ -468,11 +479,11 @@ class EventEngine:
             else:
                 # one lane, which has no pad ids
                 self._w_delta[ids[0]] -= drop[0]
+            # x_max is quantized into the voltage format in fixed mode, so
+            # the ceiling clamp also covers saturation
+            ix = self._input_x_flat
+            ix[ids] = np.minimum(ix[ids] + self._alpha, self._x_max)
         ar.add_rows(self._exc_v, rows)
-        # x_max is quantized into the voltage format in fixed mode, so the
-        # ceiling clamp also covers saturation
-        ix = self._input_x_flat
-        ix[ids] = np.minimum(ix[ids] + self._alpha, self._x_max)
 
     def leak_handler(self) -> None:
         ar, v = self.arith, self._exc_v
@@ -480,9 +491,10 @@ class EventEngine:
         v -= self._pending
         ar.saturate_v(v)
         np.maximum(v, self._floor, out=v)
-        self._exc_x -= ar.mul_v(self._exc_x, self._decay_x)
-        self._input_x -= ar.mul_v(self._input_x, self._decay_x)
         self._pending[:] = 0
+        if self.learning:
+            self._exc_x -= ar.mul_v(self._exc_x, self._decay_x)
+            self._input_x -= ar.mul_v(self._input_x, self._decay_x)
 
     def fire_handler(self) -> np.ndarray:
         """Fire every neuron at or above threshold, in every lane; returns
@@ -502,18 +514,16 @@ class EventEngine:
                 else:
                     # one lane, whose fired indices are its neuron ids
                     self._potentiate(fired)
+                ex = self._exc_x_flat
+                ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
             self._exc_v_flat[fired] = self._rest
-            ex = self._exc_x_flat
-            ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
         return fired
 
     def _potentiate(self, fired: np.ndarray) -> None:
         """Add the one lane's gains to the ``fired`` columns of the live
-        weights, clipped, or of the batched deltas; a run that defers the
-        clip (see ``run_lanes``) leaves the live weights unclipped. Ascending
-        fired ids that form one range of consecutive ids are updated in place
-        through a column slice, any other set through one gather and
-        scatter."""
+        weights, clipped unless the run defers the clip, or of the batched
+        deltas: in place through a column slice for one range of ids, else
+        through one gather and scatter (see the module docstring)."""
         gain = self.arith.mul_w(self._input_x[0, :self.store.n_input, None], self._a_pre)
         live = self._w_delta is None
         target = self.store.w if live else self._w_delta
@@ -574,22 +584,12 @@ class EventEngine:
         """``run`` each packet array of ``streams`` in a lane of its own,
         all lanes advancing one timestep together; returns one result per
         stream. Learning on and more than one stream raise ``ValueError``
-        unless the engine ``learns_in_lanes``. The output FIFO is checked
-        once, after the last step, from the fired counts of the step
-        records: the lowest lane with more than ``fifo_capacity`` neurons
-        fired in one step raises ``FifoOverflowError`` for its first such
-        step. A call that raises leaves the store's voltages, traces and
-        pending inhibition as they were at the call; a learning run that
-        overflows keeps the weight or delta updates of all its steps.
-
-        A run that learns into the live weights defers the potentiation
-        clip when, at the call, every weight is inside ``[w_min, w_max]``
-        and every input trace is ``>= 0``: every gain is then ``>= 0``
-        (``alpha_pre > 0``, and traces stay ``>= 0``), and as rounded (or
-        integer) addition is monotone, a clip to ``w_max`` where integrate
-        reads a row and one over the store when the run ends, before any
-        error is raised, give the weights a clip at every firing step
-        gives. Any other store is clipped at every firing step."""
+        unless the engine ``learns_in_lanes``. A call that raises, for a bad
+        stream or a FIFO overflow (see the module docstring), leaves the
+        store's voltages, traces and pending inhibition as they were at the
+        call; a learning run that overflows keeps the weight or delta
+        updates of all its steps, and one that defers the potentiation clip
+        clips the store before it raises."""
         n_lanes = len(streams)
         if self.learning and n_lanes > 1 and not self.learns_in_lanes:
             raise ValueError("learning runs one lane at a time unless updates accumulate "
@@ -646,10 +646,7 @@ class EventEngine:
         del fired_per_step
         f_ts = np.repeat(np.array(fire_steps, dtype=np.uint32), sizes)
         f_lane = fired // store.n_exc
-        key = f_lane * stop_ts  # lane * stop_ts + timestep, as in the plan
-        key += f_ts
-        steps["fired"] = np.bincount(key, minlength=steps.size).reshape(steps.shape)
-        del key
+        np.add.at(steps["fired"], (f_lane, f_ts), 1)
         # the lowest lane that overflows raises, at its first such step
         full = np.flatnonzero(steps["fired"] > self.fifo_capacity)
         if full.size:

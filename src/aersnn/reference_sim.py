@@ -10,13 +10,13 @@ engine must agree with it bit for bit in float mode.
 Per timestep t:
 
 1. for each input i spiking at t, in ascending i: add weight row i to the
-   voltages, depress row i by the post traces (learning only), bump input
+   voltages; if learning, depress row i by the post traces and bump input
    trace i;
 2. decay voltages toward rest, subtract the previous step's queued
-   inhibition (floored at v_floor), clear it, decay all traces;
+   inhibition (floored at v_floor), clear it, decay all traces if learning;
 3. scan neurons in ascending j: each one at or above threshold potentiates
-   its weight column by the input traces (learning only), resets to rest,
-   bumps its trace, queues inhibition against all others, and is recorded
+   its weight column by the input traces and bumps its trace if learning,
+   resets to rest, queues inhibition against all others, and is recorded
    as an output spike at t.
 """
 
@@ -71,13 +71,14 @@ def dense_simulate(
             v += w[i]
             if learning:
                 w[i] = np.clip(w[i] - stdp.alpha_post * x_exc, stdp.w_min, stdp.w_max)
-            x_in[i] = min(x_in[i] + trace.alpha, trace.x_max)
+                x_in[i] = min(x_in[i] + trace.alpha, trace.x_max)
 
         v -= (v - lif.v_rest) * decay_v
         v -= pending
         np.maximum(v, floor, out=v)
-        x_exc -= x_exc * decay_x
-        x_in -= x_in * decay_x
+        if learning:
+            x_exc -= x_exc * decay_x
+            x_in -= x_in * decay_x
         pending[:] = 0.0
 
         for j in np.nonzero(v >= lif.v_thresh)[0]:
@@ -85,8 +86,8 @@ def dense_simulate(
                 w[:, j] = np.clip(
                     w[:, j] + stdp.alpha_pre * x_in, stdp.w_min, stdp.w_max
                 )
+                x_exc[j] = min(x_exc[j] + trace.alpha, trace.x_max)
             v[j] = lif.v_rest
-            x_exc[j] = min(x_exc[j] + trace.alpha, trace.x_max)
             pending[:j] += topology.w_inh
             pending[j + 1:] += topology.w_inh
             out[t, j] = True

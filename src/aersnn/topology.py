@@ -82,12 +82,14 @@ class TopologyParams:
             raise ValueError(f"w_inh must be >= 0, got {self.w_inh}")
 
 
-class StoreArray(namedtuple("StoreArray", "name label layers fmt reset")):
+class StoreArray(namedtuple("StoreArray", "name label layers fmt reset learning_only")):
     """One array of the store: its attribute ``name``, the ``label``
     checkpoint errors call it, the ``layers`` whose sizes are its shape, the
-    ``NumericSpec`` field ``fmt`` of its Q-format, and its value after
-    ``reset_for_sample``: ``"rest"`` (the store's rest voltage), ``0``, or
-    ``None`` for an array that persists across samples, like the weights."""
+    ``NumericSpec`` field ``fmt`` of its Q-format, its value after
+    ``reset_for_sample`` (``"rest"``, the store's rest voltage, ``0``, or
+    ``None`` for an array that persists across samples, like the weights),
+    and ``learning_only``: read by weight updates alone (the traces), so a
+    frozen run leaves it as it was."""
 
     def shape(self, n_input: int, n_exc: int) -> tuple[int, ...]:
         return tuple({"n_input": n_input, "n_exc": n_exc}[layer] for layer in self.layers)
@@ -95,11 +97,11 @@ class StoreArray(namedtuple("StoreArray", "name label layers fmt reset")):
 
 # the store's arrays, in checkpoint payload order
 STORE_ARRAYS = (
-    StoreArray("w", "weights", ("n_input", "n_exc"), "w_format", None),
-    StoreArray("exc_v", "voltages", ("n_exc",), "v_format", "rest"),
-    StoreArray("exc_x", "excitatory traces", ("n_exc",), "v_format", 0),
-    StoreArray("input_x", "input traces", ("n_input",), "v_format", 0),
-    StoreArray("pending", "pending inhibition", ("n_exc",), "v_format", 0),
+    StoreArray("w", "weights", ("n_input", "n_exc"), "w_format", None, False),
+    StoreArray("exc_v", "voltages", ("n_exc",), "v_format", "rest", False),
+    StoreArray("exc_x", "excitatory traces", ("n_exc",), "v_format", 0, True),
+    StoreArray("input_x", "input traces", ("n_input",), "v_format", 0, True),
+    StoreArray("pending", "pending inhibition", ("n_exc",), "v_format", 0, False),
 )
 
 

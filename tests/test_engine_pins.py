@@ -9,7 +9,10 @@ semantics: saturating fixed-point adds in stream order, repeated ids
 integrating the row as depressed by their earlier occurrence, and
 out-of-range ids dropped. The rest-below-zero and q4.6-weights cases
 were recorded from the step-batched engine while it still held separate
-float and fixed handlers.
+float and fixed handlers. The q8.8-frozen store digest was recorded again
+when frozen runs stopped updating the traces: that store's traces now keep
+their values from the call, and its other arrays and digests are as first
+recorded.
 """
 
 import hashlib
@@ -108,7 +111,7 @@ PINS = {
     ),
     'q8.8-frozen': (
         'b680beeb18f27eab77d773619dc603e986617b457584bdb822f667dbbe1db5f5',
-        'd8880db1552bf3f4537b399d6f1e3e85fb5168a092b35f23ef7a0e82e0d10a42',
+        'b2ef5de85f6147d278ce89bdb936ea26c45cebb5cf848fe2c878a20e96d6b041',
         None,
         '800bdc87029b68ac97b30c8b5f388689f9048ccd603ae64291e1b940882e4139',
     ),

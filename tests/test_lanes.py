@@ -23,7 +23,7 @@ from aersnn.event_engine import (
 )
 from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
 from aersnn.plasticity import StdpParams
-from aersnn.topology import store_to_bytes
+from aersnn.topology import STORE_ARRAYS, store_to_bytes
 
 from conftest import make_engine
 from oracles import run_one_by_one, step_by_handlers, train_one_by_one
@@ -213,6 +213,79 @@ def test_runs_do_not_depend_on_the_weight_layout(case, weights, regime):
             engine.apply_accumulated_updates()
         assert state_bytes(engines[1]) == state_bytes(engines[0])
     assert engines[1].store.w.flags.f_contiguous
+
+
+LEARNING_ONLY = [row.name for row in STORE_ARRAYS if row.learning_only]
+
+
+def set_traces_off_zero(engine, seed):
+    """Give every learning-only array values in ``(0, x_max]``, in store
+    units."""
+    rng = np.random.default_rng(seed)
+    for name in LEARNING_ONLY:
+        a = getattr(engine.store, name)
+        a[:] = [engine.arith.voltage(x) for x in rng.uniform(0.1, engine.trace.x_max, a.size)]
+
+
+def learning_only_bytes(engine):
+    return [getattr(engine.store, name).tobytes() for name in LEARNING_ONLY]
+
+
+class TestFrozenRunsKeepLearningOnlyState:
+    """Only the weight updates read the traces, so a frozen run leaves every
+    learning-only array of the store as it was at the call."""
+
+    @pytest.mark.parametrize("n_lanes", [1, 16])
+    @pytest.mark.parametrize("case", ["float", "q8.8"])
+    def test_frozen_run_leaves_learning_only_arrays_as_they_were(self, case, n_lanes,
+                                                                  monkeypatch):
+        assert LEARNING_ONLY == ["exc_x", "input_x"]
+        engine = case_engine(case, 12, 6)
+        set_traces_off_zero(engine, 1)
+        before = learning_only_bytes(engine)
+        # a frozen run reads and writes the store's own learning-only arrays:
+        # it makes no lane copies of them
+        shared, fire = [], engine.fire_handler
+
+        def recording_fire():
+            shared.extend(np.shares_memory(getattr(engine, f"_{name}"),
+                                           getattr(engine.store, name))
+                          for name in LEARNING_ONLY)
+            return fire()
+
+        monkeypatch.setattr(engine, "fire_handler", recording_fire)
+        streams = [stream("messy" if lane % 2 else "grid", lane, 30, 12, 0.6)
+                   for lane in range(n_lanes)]
+        results = engine.run_lanes(streams, 32)
+        assert sum(r.stats.packets_out for r in results) > 0
+        assert shared and all(shared)
+        assert learning_only_bytes(engine) == before
+
+    @pytest.mark.parametrize("n_lanes", [1, 16])
+    @pytest.mark.parametrize("case", ["float", "q8.8"])
+    def test_frozen_outputs_do_not_depend_on_the_traces(self, case, n_lanes):
+        engines = [case_engine(case, 12, 6) for _ in range(2)]
+        set_traces_off_zero(engines[1], 2)
+        streams = [stream("grid", lane, 30, 12, 0.5) for lane in range(n_lanes)]
+        got, want = [engine.run_lanes(streams, 32) for engine in engines]
+        assert_same_runs(got, want)
+        for name in ("w", "exc_v", "pending"):
+            assert (getattr(engines[0].store, name).tobytes()
+                    == getattr(engines[1].store, name).tobytes()), name
+
+    @pytest.mark.parametrize("case, n_lanes, kwargs", [
+        ("float", 1, {}),
+        ("q8.8", 1, {}),
+        ("q8.8", 16, dict(accumulate_updates=True)),
+    ], ids=["float-live", "fixed-live", "fixed-accumulating-16"])
+    def test_learning_runs_update_the_traces(self, case, n_lanes, kwargs):
+        engine = case_engine(case, 12, 6, learning=True, **kwargs)
+        set_traces_off_zero(engine, 3)
+        before = learning_only_bytes(engine)
+        streams = [stream("grid", lane, 30, 12, 0.5) for lane in range(n_lanes)]
+        engine.run_lanes(streams, 32)
+        after = learning_only_bytes(engine)
+        assert all(a != b for a, b in zip(after, before))
 
 
 # input 0 drives all three neurons over threshold in one step, input 1 only

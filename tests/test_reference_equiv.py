@@ -133,6 +133,31 @@ class TestEngineMatchesDense:
             params = random_case(rng)
             assert_bit_identical(*run_both(*params), label=f"case {case}")
 
+    def test_frozen_runs_keep_traces_off_zero(self):
+        # only the weight updates read the traces: with learning off, both
+        # the oracle and the engine leave them as they were at the call
+        rng = np.random.default_rng(20261019)
+        fired = 0
+        for case in range(30):
+            lif, trace, stdp, topology, grid, _, seed = random_case(rng)
+            stores = [build_network(topology, stdp, seed=seed, v_rest=lif.v_rest)
+                      for _ in range(2)]
+            traces = [rng.uniform(0.1, trace.x_max, n)
+                      for n in (topology.n_exc, topology.n_input)]
+            for store in stores:
+                store.exc_x[:], store.input_x[:] = traces
+            engine = EventEngine(stores[0], lif, trace, stdp, topology, learning=False)
+            res = engine.run(grid_to_packets(grid), stop_ts=grid.shape[0])
+            out_grid = np.zeros((grid.shape[0], topology.n_exc), dtype=bool)
+            out_grid[res.outputs.timestamp, res.outputs.neuron_id] = True
+            ref_grid = dense_simulate(stores[1], lif, trace, stdp, topology, grid,
+                                      learning=False)
+            assert stores[1].exc_x.tobytes() == traces[0].tobytes(), f"case {case}"
+            assert stores[1].input_x.tobytes() == traces[1].tobytes(), f"case {case}"
+            assert_bit_identical(stores[0], out_grid, stores[1], ref_grid, label=f"case {case}")
+            fired += int(ref_grid.sum())
+        assert fired > 0
+
     def test_dense_grid_heavy_learning(self):
         # every input firing every step, learning on: maximal interaction
         # between depression, potentiation, and lateral inhibition
