@@ -91,9 +91,12 @@ numeric modes, because:
 * fixed-point adds saturate. A prefix ``v + w[i1] + ... + w[ik]`` of K
   rows is at least the lowest voltage plus K times the lowest row entry
   (if negative) and at most the highest voltage plus K times the highest
-  (if positive). When both bounds are inside the voltage format no add
-  saturated, and one exact int64 reduction is the result; otherwise the
-  rows are added one at a time, each add saturating;
+  (if positive). A run that reads the frozen copy takes those entries
+  from the whole copy, once, when it builds it; one that reads the live
+  weights takes them from the rows of each call. When both bounds are
+  inside the voltage format no add saturated, and one exact int64
+  reduction is the result; otherwise the rows are added one at a time,
+  each add saturating;
 * a run of distinct ids reads each row once, so a repeated id, which
   the run puts in the next run, sees its depressed row;
 * the input traces do not change within fire, so every fired column gets
@@ -116,7 +119,14 @@ numeric modes, because:
 * pending inhibition is zero at fire time, as the leak just cleared it.
   The credit k firings of a lane queue is then a function of k alone,
   tabulated once per engine for k = 0..n_exc and handed to
-  ``queue_inhibition``.
+  ``queue_inhibition``. A leak after a step in which no lane fired skips
+  the subtract, the saturation and the clear: pending is then the
+  ``+0.0`` (or 0) the last leak left, ``v - (+0.0)`` is ``v`` for every
+  float, -0.0 included, and a leak toward rest cannot leave the voltage
+  format. Binding lane state, at a run's start and end, counts as a
+  firing, so a pending loaded into the store or left by a run that raised
+  is applied at the next leak; one written into the store between handler
+  calls outside a run waits for the next firing or run.
 
 No handler tests the numeric mode: the store's arithmetic object (see
 ``numerics``) does each float- or fixed-specific step, so one set of
@@ -410,8 +420,8 @@ class EventEngine:
         self._w_min = ar.weight(stdp.w_min)
         self._w_max = ar.weight(stdp.w_max)
         self._inh_credit = inhibition_credit(store, topology.w_inh)
-        # the rows a frozen run integrates
-        self._frozen = None
+        # the rows a frozen run integrates, and bounds on their entries
+        self._frozen = self._row_bounds = None
         # whether this run clips potentiated weights where they are read
         self._defer = False
         # the rank-1 update records of a run that learns in lanes (left and
@@ -429,6 +439,8 @@ class EventEngine:
         calls outside a run, and a frozen run for the learning-only arrays,
         bind one lane of views instead. Returns each copied array and lanes."""
         store = self.store
+        # the lanes' pending inhibition is unknown until the next leak
+        self._inhibition_queued = True
         pairs = []
         for row in LANE_ARRAYS:
             a = getattr(store, row.name)
@@ -483,15 +495,17 @@ class EventEngine:
             # the ceiling clamp also covers saturation
             ix = self._input_x_flat
             ix[ids] = np.minimum(ix[ids] + self._alpha, self._x_max)
-        ar.add_rows(self._exc_v, rows)
+        ar.add_rows(self._exc_v, rows, self._row_bounds)
 
     def leak_handler(self) -> None:
         ar, v = self.arith, self._exc_v
         v -= ar.mul_v(v - self._rest, self._decay_v)
-        v -= self._pending
-        ar.saturate_v(v)
+        if self._inhibition_queued:
+            v -= self._pending
+            ar.saturate_v(v)
+            self._pending[:] = 0
+            self._inhibition_queued = False
         np.maximum(v, self._floor, out=v)
-        self._pending[:] = 0
         if self.learning:
             self._exc_x -= ar.mul_v(self._exc_x, self._decay_x)
             self._input_x -= ar.mul_v(self._input_x, self._decay_x)
@@ -501,8 +515,9 @@ class EventEngine:
         the flat indices ``lane * n_exc + id`` of the fired neurons in
         ascending order."""
         crossed = self._exc_v >= self._thresh
-        fired = np.flatnonzero(crossed)
+        fired = crossed.reshape(-1).nonzero()[0]
         if fired.size:
+            self._inhibition_queued = True
             queue_inhibition(self.store, crossed, self._inh_credit, self._pending)
             if self.learning:
                 if self._records is not None:
@@ -610,6 +625,8 @@ class EventEngine:
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):
                 self._frozen[lo:min(lo + 64, store.n_input)] = ar.w_to_v(store.w[lo:lo + 64])
+            self._row_bounds = (min(self._frozen.min().item(), 0),
+                                max(self._frozen.max().item(), 0))
         if self.learning and self.learns_in_lanes:
             # a handler call records one row of each factor per lane, so
             # the records take at least one call
@@ -632,7 +649,7 @@ class EventEngine:
             if self._records is not None:
                 self._fold_records()
                 self._records = None
-            self._frozen = None
+            self._frozen = self._row_bounds = None
             self._bind()
             if self._defer:
                 self._defer = False

@@ -283,13 +283,15 @@ def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = Non
     return np.minimum(hi, np.maximum(lo, raw, out=out), out=out)
 
 
-def trunc_shift_raw(product: np.ndarray, shift: int) -> np.ndarray:
-    """``product * 2**-shift`` truncated toward zero, exact for ``|product|
-    < 2**53`` and results inside int64: float64 holds such ints exactly, a
-    power-of-two scale keeps the significand and ``astype`` truncates.
-    Engine products are below ``2**49``: mantissas and their differences
-    below ``2**33`` times coefficients below ``2**16``."""
-    return (product * 2.0 ** -shift).astype(np.int64)
+def trunc_shift_raw(x: np.ndarray, shift: int, coef: int = 1) -> np.ndarray:
+    """``x * coef * 2**-shift`` truncated toward zero, in one float64
+    multiply by the pre-scaled coefficient. Exact while the integer product
+    satisfies ``|x * coef| < 2**53`` and the result fits int64: float64
+    holds ``x``, ``coef`` and their product exactly, the power-of-two scale
+    keeps the significand and ``astype`` truncates. Engine products are
+    below ``2**49``: mantissas and their differences below ``2**33`` times
+    coefficients below ``2**16``."""
+    return (x * (coef * 2.0 ** -shift)).astype(np.int64)
 
 
 def fold_work(rows: int, m: int, n: int) -> tuple[np.ndarray, ...]:
@@ -381,10 +383,12 @@ class FloatArithmetic:
     def w_to_v(self, rows: np.ndarray) -> np.ndarray:
         return rows
 
-    def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
+    def add_rows(self, v: np.ndarray, rows: np.ndarray,
+                 bounds: tuple | None = None) -> None:
         """``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in place, in that
         order, for every lane b of the ``(lanes, n)`` voltages; the ``(lanes,
-        K, n)`` rows are C-ordered, and are overwritten."""
+        K, n)`` rows are C-ordered, and are overwritten. Float adds do not
+        saturate, so the row ``bounds`` go unused."""
         # the sums below add v + rows[0], rows[1], ... in that order
         rows[:, 0] += v
         if v.shape[1] == 1:
@@ -425,10 +429,10 @@ class FixedArithmetic:
 
     def mul_v(self, x: np.ndarray, coef: int) -> np.ndarray:
         # |result| <= |x| as coef < 1, so a leak step needs no saturation
-        return trunc_shift_raw(x * coef, COEF_FORMAT.frac_bits)
+        return trunc_shift_raw(x, COEF_FORMAT.frac_bits, coef)
 
     def mul_w(self, x: np.ndarray, coef: int) -> np.ndarray:
-        return trunc_shift_raw(x * coef, self.w_shift)
+        return trunc_shift_raw(x, self.w_shift, coef)
 
     # a saturating add of zero leaves a value in range as it is
     pad = 0
@@ -442,20 +446,27 @@ class FixedArithmetic:
         """Weight mantissas re-quantized to the voltage format."""
         return convert_raw_array(rows, self.w_format, self.v_format)
 
-    def add_rows(self, v: np.ndarray, rows: np.ndarray) -> None:
+    def add_rows(self, v: np.ndarray, rows: np.ndarray,
+                 bounds: tuple | None = None) -> None:
         """Saturating ``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in
         place, for every lane b of the ``(lanes, n)`` voltages; the rows
-        are in the voltage format (``w_to_v``)."""
+        are in the voltage format (``w_to_v``). ``bounds``, if given, are a
+        ``(lo, hi)`` pair with ``lo <= min(rows.min(), 0)`` and ``hi >=
+        max(rows.max(), 0)``, such as a frozen copy's that every call of a
+        run reads from; otherwise the rows' own are taken."""
+        lo, hi = bounds or (min(rows.min(), 0), max(rows.max(), 0))
         # every prefix v + rows[0] + ... + rows[k] of the K rows lies in
-        # [v.min() + K * min(rows.min(), 0), v.max() + K * max(rows.max(), 0)]:
-        # inside the format no add saturates, and one int64 sum is exact
+        # [v.min() + K * lo, v.max() + K * hi]: inside the format no add
+        # saturates, and one int64 sum is exact
         n_rows = rows.shape[1]
-        if (v.min() + n_rows * min(rows.min(), 0) >= self.v_min
-                and v.max() + n_rows * max(rows.max(), 0) <= self.v_max):
+        if v.min() + n_rows * lo >= self.v_min and v.max() + n_rows * hi <= self.v_max:
             v += np.add.reduce(rows, axis=1)
-            return
-        # otherwise add the rows one at a time, saturating each add
-        for k in range(n_rows):
+        else:
+            self._add_saturating(v, rows)
+
+    def _add_saturating(self, v: np.ndarray, rows: np.ndarray) -> None:
+        """``add_rows`` one row at a time, saturating each add."""
+        for k in range(rows.shape[1]):
             saturate_raw(v + rows[:, k], self.v_min, self.v_max, out=v)
 
 

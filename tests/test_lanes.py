@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from aersnn import evaluator, event_engine
 from aersnn.config import RunConfig
 from aersnn.dynamics import LifParams
-from aersnn.encoders import Sample
+from aersnn.encoders import ECG_FEATURES, Sample, load_ecg_beats
 from aersnn.event_engine import (
     RECORD_ROWS,
     EventEngine,
@@ -22,12 +22,15 @@ from aersnn.event_engine import (
     packet_array,
 )
 from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
+from aersnn.numerics import DecayParams, Fixed, fixed_sub, leak_toward
 from aersnn.plasticity import StdpParams
+from aersnn.reference_sim import dense_simulate
 from aersnn.topology import STORE_ARRAYS, store_to_bytes
 
-from conftest import make_engine
+from conftest import four_class_beats, grid_to_packets, make_engine, write_beat_csv
 from oracles import run_one_by_one, step_by_handlers, train_one_by_one
 from test_engine_pins import NARROW_LIF, Q3_8, Q8_8, REST_LIF, grid_stream, messy_stream
+from test_reference_equiv import assert_bit_identical
 
 # a rest of -0.0 and weights that hold -0.0: a voltage can stay -0.0, which
 # adding a +0.0 pad row would turn into +0.0
@@ -505,3 +508,116 @@ def test_train_pass_matches_the_reference(mode, batch_size, monkeypatch):
     width = LANES if mode == "fixed" and batch_size > 1 else 1
     assert engine.learns_in_lanes == (width > 1)
     assert lanes == 2 * chunk_sizes(23, batch_size, width)
+
+
+def scalar_leak_less_pending(engine, v, pending):
+    """What one leak makes of fixed-point voltages ``v`` with ``pending``
+    inhibition, by the scalar primitives: the leak toward rest, less the
+    pending inhibition (above the floor)."""
+    fmt = engine.arith.v_format
+    rest = Fixed(engine.arith.voltage(engine.lif.v_rest), fmt)
+    decay = DecayParams(tau=engine.lif.tau_v, dt=engine.lif.dt)
+    return [fixed_sub(leak_toward(Fixed(int(x), fmt), rest, decay), Fixed(int(p), fmt)).raw
+            for x, p in zip(v, pending)]
+
+
+class TestPendingInhibitionFlag:
+    """A leak applies pending inhibition only while some may be queued:
+    after a firing step, and after every binding of lane state. A store
+    whose pending inhibition is off zero gets it applied at the first leak
+    of a run, and at the first leak of a handler call after a run that
+    raised."""
+
+    @pytest.mark.parametrize("learning", [False, True])
+    def test_float_run_from_pending_off_zero_matches_the_oracle(self, learning):
+        # every voltage starts above threshold, and the pending inhibition
+        # pulls it below at the first leak: nothing fires at step 0
+        for seed in range(4):
+            engine = case_engine("float", 12, 6, seed=seed, learning=learning)
+            rng = np.random.default_rng(seed)
+            engine.store.exc_v[:] = rng.uniform(1.05, 1.15, 6)
+            engine.store.pending[:] = rng.uniform(0.2, 0.6, 6)
+            oracle = engine.store.copy()
+            grid = rng.random((40, 12)) < 0.3
+            grid[0] = False
+            res = engine.run(grid_to_packets(grid), stop_ts=40)
+            out_grid = np.zeros((40, 6), dtype=bool)
+            out_grid[res.outputs.timestamp, res.outputs.neuron_id] = True
+            ref_grid = dense_simulate(oracle, engine.lif, engine.trace, engine.stdp,
+                                      engine.topology, grid, learning=learning)
+            assert not out_grid[0].any()
+            assert_bit_identical(engine.store, out_grid, oracle, ref_grid, f"seed {seed}")
+
+    @pytest.mark.parametrize("n_lanes", [1, 16])
+    def test_fixed_run_from_pending_off_zero(self, n_lanes):
+        # every voltage starts above threshold, and the pending inhibition
+        # pulls it below at the first leak: no lane fires at step 0
+        engines = [case_engine("q8.8", 12, 6) for _ in range(3)]
+        ar = engines[0].arith
+        v0 = [ar.voltage(x) for x in (1.25, 1.5, 1.1, 1.3, 2.0, 1.05)]
+        p0 = [ar.voltage(x) for x in (0.5, 0.75, 0.25, 1.0, 1.5, 0.125)]
+        for engine in engines:
+            engine.store.exc_v[:] = v0
+            engine.store.pending[:] = p0
+        streams = [packet_array(ids, ts + 1) for ids, ts in
+                   (grid_stream(lane, 20, 12, 0.4) for lane in range(n_lanes))]
+        got = engines[0].run_lanes(streams, 24)
+        assert_same_runs(got, run_one_by_one(engines[1], streams, 24))
+        assert all(0 not in r.outputs.timestamp.tolist() for r in got)
+        # the first step alone: the scalar leak toward rest, less pending
+        engines[2].run_lanes([packet_array([], [])] * n_lanes, 1)
+        assert engines[2].store.exc_v.tolist() == scalar_leak_less_pending(engines[2], v0, p0)
+        assert not engines[2].store.pending.any()
+
+    @pytest.mark.parametrize("case", ["float", "q8.8"])
+    def test_leak_after_an_overflowing_run_applies_pending(self, case):
+        # the run fires at step 0 and is quiet after it, so its last leak
+        # found nothing queued; it raises and leaves the store as it was
+        engine = make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.0,
+                             fifo_capacity=1, learning=False, **CASES[case])
+        ar = engine.arith
+        engine.store.exc_v[:] = [ar.voltage(x) for x in (0.5, -0.25, 0.75)]
+        engine.store.pending[:] = [ar.voltage(x) for x in (0.25, 0.5, 0.125)]
+        before = engine.store.copy()
+        with pytest.raises(FifoOverflowError):
+            engine.run(packet_array([0], [0]), stop_ts=4)
+        assert engine.store.state_equal(before)
+        engine.leak_handler()
+        if case == "float":
+            oracle = before.copy()
+            dense_simulate(oracle, engine.lif, engine.trace, engine.stdp, engine.topology,
+                           np.zeros((1, 2), dtype=bool), learning=False)
+            want = oracle.exc_v.tolist()
+        else:
+            want = scalar_leak_less_pending(engine, before.exc_v, before.pending)
+        assert engine.store.exc_v.tolist() == want
+        assert not engine.store.pending.any()
+
+
+def test_paper_scale_frozen_ecg_runs_never_saturate_row_by_row(tmp_path, monkeypatch):
+    # the bounds of the whole frozen copy are looser than those of one
+    # call's rows; at the ecg_fixed config (251 x 100, q8.8) they must still
+    # keep every frozen call on the one reduction, or runs slow down unseen
+    cfg = RunConfig(dataset="ecg", n_input=ECG_FEATURES, timesteps=100, mode="fixed",
+                    batch_size=4, seed=5)
+    cfg.validate()
+    write_beat_csv(tmp_path / "beats.csv", four_class_beats(n_per_class=10, seed=1))
+    samples = load_ecg_beats(tmp_path / "beats.csv")
+    engine = build_engine(cfg)
+    train_pass(engine, samples[:24], cfg)
+    calls = {"add_rows": 0, "saturating": 0}
+    arith = type(engine.arith)
+    add_rows, saturating = arith.add_rows, arith._add_saturating
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(arith, "add_rows", counting("add_rows", add_rows))
+    monkeypatch.setattr(arith, "_add_saturating", counting("saturating", saturating))
+    labels = assign_labels(engine, samples[24:32], cfg, cfg.resolved_n_classes())
+    evaluate(engine, labels, samples[32:], cfg)
+    assert calls["add_rows"] > 100
+    assert calls["saturating"] == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aersnn.numerics import (
     COEF_FORMAT,
@@ -204,6 +204,43 @@ class TestAddRows:
         assert not self.bound_holds(v, rows)
         self.check(v, rows)
         assert v[0, 0] in (Q4_4.raw_min, Q4_4.raw_max)
+
+    @given(lane_rows(), st.integers(0, 3 * Q4_4.raw_max), st.integers(0, 3 * Q4_4.raw_max))
+    def test_looser_bounds_give_the_same_sums(self, case, below, above):
+        # a run passes bounds of its whole frozen copy, which can only be
+        # looser than the rows of one call
+        v, rows = case
+        own = v.copy()
+        Q4_4_ARITH.add_rows(own, rows.copy())
+        bounds = (min(rows.min(), 0) - below, max(rows.max(), 0) + above)
+        Q4_4_ARITH.add_rows(v, rows.copy(), bounds)
+        assert v.tolist() == own.tolist()
+
+    @pytest.mark.parametrize("start, step, loose, loops", [
+        # no add saturates, yet the looser bounds reach past a rail: only
+        # they take the saturating adds
+        (120, 1, (0, 5), 1),
+        (-120, -1, (-5, 0), 1),
+        # the sums hit a rail: both take them
+        (120, 5, (-1, 6), 2),
+        (-120, -5, (-6, 1), 2),
+    ], ids=["top-loose", "bottom-loose", "top-rail", "bottom-rail"])
+    def test_each_branch_near_either_rail(self, start, step, loose, loops, monkeypatch):
+        # the rows one at a time through the saturating adds give what the
+        # one reduction gives
+        taken, saturating = [], type(Q4_4_ARITH)._add_saturating
+        monkeypatch.setattr(type(Q4_4_ARITH), "_add_saturating",
+                            lambda self, v, rows: taken.append(1) or saturating(self, v, rows))
+        v = np.array([[start, start // 2]], dtype=np.int64)
+        rows = np.array([[[step, 0], [step, step], [0, step]]], dtype=np.int64)
+        assert self.bound_holds(v, rows) == (loops == 1)
+        results = []
+        for bounds in (None, loose):
+            got = v.copy()
+            Q4_4_ARITH.add_rows(got, rows.copy(), bounds)
+            results.append(got.tolist())
+        assert results[0] == results[1] == add_rows_by_scalars(v, rows, Q4_4).tolist()
+        assert len(taken) == loops
 
 
 # the magnitudes of the fold's values against its float64 bound rows * top <
@@ -412,6 +449,26 @@ class TestRawArrayKernels:
         for shift in shifts:
             got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
             assert got.tolist() == [_trunc_shift_int(p, shift) for p in products], shift
+
+    @given(v_int=st.integers(2, 16), v_frac=st.integers(0, 12), w_frac=st.integers(4, 20),
+           coef=st.integers(COEF_FORMAT.raw_min, COEF_FORMAT.raw_max),
+           spread=st.lists(st.integers(-2**27, 2**27 - 1), max_size=20))
+    @example(v_int=16, v_frac=12, w_frac=20, coef=COEF_FORMAT.raw_min, spread=[])
+    @example(v_int=16, v_frac=12, w_frac=4, coef=COEF_FORMAT.raw_max, spread=[])
+    @example(v_int=16, v_frac=0, w_frac=20, coef=COEF_FORMAT.raw_max, spread=[])
+    def test_one_multiply_products_match_scalar(self, v_int, v_frac, w_frac, coef, spread):
+        # w_shift = 14 + v_frac - w_frac runs from -6 through 0 to 22; the
+        # 28-bit spread is scaled onto the voltage format, whose rails are
+        # always among the mantissas
+        arith = NumericSpec(mode="fixed", v_format=QFormat(v_int, v_frac),
+                            w_format=QFormat(2, w_frac)).arithmetic
+        fmt = arith.v_format
+        raws = [fmt.raw_min, -1, 0, 1, fmt.raw_max] + [r >> (28 - fmt.total_bits) for r in spread]
+        x = np.array(raws, dtype=np.int64)
+        for got, shift in ((arith.mul_v(x, coef), COEF_FORMAT.frac_bits),
+                           (arith.mul_w(x, coef), arith.w_shift)):
+            assert got.dtype == np.int64
+            assert got.tolist() == [_trunc_shift_int(r * coef, shift) for r in raws], shift
 
     @given(st.sampled_from([(WEIGHT_FORMAT, VOLTAGE_FORMAT), (VOLTAGE_FORMAT, WEIGHT_FORMAT),
                             (Q8_8, QFormat(3, 8)), (QFormat(3, 8), Q8_8)]),
