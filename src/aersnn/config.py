@@ -30,21 +30,6 @@ from .numerics import NumericSpec, QFormat
 from .plasticity import StdpParams
 from .topology import TopologyParams
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "parse_config",
-    "parse_config_file",
-    "canonical_text",
-    "config_hash",
-    "derive_seed",
-    "STREAM_INIT",
-    "STREAM_TRAIN",
-    "STREAM_LABEL",
-    "STREAM_EVAL",
-    "STREAM_ENCODE",
-    "STREAM_SPLIT",
-]
 
 STREAM_INIT = 0
 STREAM_TRAIN = 1

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .numerics import DecayParams
 
-__all__ = ["LifParams", "TraceParams"]
-
 
 @dataclass(frozen=True)
 class LifParams:

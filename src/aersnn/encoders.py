@@ -33,18 +33,6 @@ import numpy as np
 
 from .event_engine import packet_array
 
-__all__ = [
-    "EncoderParams",
-    "Sample",
-    "EncodingError",
-    "DatasetError",
-    "poisson_encode",
-    "load_mnist",
-    "load_ecg_beats",
-    "split_samples",
-    "ECG_FEATURES",
-    "ECG_CLASSES",
-]
 
 ECG_FEATURES = 251
 ECG_CLASSES = 4

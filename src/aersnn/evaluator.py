@@ -52,21 +52,6 @@ from .encoders import Sample, poisson_encode
 from .event_engine import EventEngine
 from .topology import StateStore, build_network, reset_for_sample
 
-__all__ = [
-    "NeuronLabels",
-    "Metrics",
-    "SweepPoint",
-    "ExperimentResult",
-    "assign_labels",
-    "classify",
-    "evaluate",
-    "sweep",
-    "SWEEPABLE_PARAMS",
-    "build_engine",
-    "train_pass",
-    "run_experiment",
-    "slice_counted",
-]
 
 log = logging.getLogger(__name__)
 
@@ -233,12 +218,9 @@ def classify(counts: np.ndarray, labels: NeuronLabels) -> int:
     """Mean spike count per label group, argmax with ties to the lowest
     class id. Group means (not sums) keep unequal group sizes unbiased."""
     n_classes = labels.response.shape[1]
-    scores = np.zeros(n_classes, dtype=np.float64)
-    for c in range(n_classes):
-        mask = labels.label == c
-        if mask.any():
-            scores[c] = counts[mask].mean()
-    return int(np.argmax(scores))
+    sums = np.bincount(labels.label, weights=counts, minlength=n_classes)
+    sizes = np.bincount(labels.label, minlength=n_classes)
+    return int(np.argmax(sums / np.maximum(sizes, 1)))
 
 
 def evaluate(engine: EventEngine, labels: NeuronLabels, samples: list[Sample],

@@ -157,21 +157,6 @@ from .topology import (
     queue_inhibition,
 )
 
-__all__ = [
-    "PACKET_DTYPE",
-    "STEP_DTYPE",
-    "EngineStats",
-    "EventEngine",
-    "RunResult",
-    "check_store",
-    "EngineError",
-    "ProtocolError",
-    "FifoOverflowError",
-    "packet_array",
-    "write_aer_file",
-    "read_aer_file",
-    "write_activation_log",
-]
 
 PACKET_DTYPE = np.dtype([("neuron_id", "<u2"), ("timestamp", "<u4")])
 PACKET_BYTES = PACKET_DTYPE.itemsize  # 6
@@ -400,7 +385,7 @@ class EventEngine:
         self.stdp = stdp
         self.topology = topology
         self.learning = learning
-        self.v_floor = -lif.v_thresh if v_floor is None else float(v_floor)
+        floor = -lif.v_thresh if v_floor is None else float(v_floor)
         self.fifo_capacity = fifo_capacity
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
@@ -412,7 +397,7 @@ class EventEngine:
         self._decay_x = ar.coef(DecayParams(tau=trace.tau_x, dt=trace.dt).decay)
         self._thresh = ar.voltage(lif.v_thresh)
         self._rest = ar.voltage(lif.v_rest)
-        self._floor = ar.voltage(self.v_floor)
+        self._floor = ar.voltage(floor)
         self._alpha = ar.voltage(trace.alpha)
         self._x_max = ar.voltage(trace.x_max)
         self._a_pre = ar.coef(stdp.alpha_pre)

@@ -36,31 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "QFormat",
-    "Fixed",
-    "DecayParams",
-    "NumericSpec",
-    "FloatArithmetic",
-    "FixedArithmetic",
-    "VOLTAGE_FORMAT",
-    "WEIGHT_FORMAT",
-    "COEF_FORMAT",
-    "to_fixed",
-    "to_real",
-    "fixed_add",
-    "fixed_sub",
-    "fixed_mul",
-    "fixed_convert",
-    "leak_decay",
-    "leak_toward",
-    "quantize_array",
-    "convert_raw_array",
-    "trunc_shift_raw",
-    "fold_work",
-    "fold_rank1_raw",
-]
-
 
 @dataclass(frozen=True)
 class QFormat:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["StdpParams"]
-
 
 @dataclass(frozen=True)
 class StdpParams:

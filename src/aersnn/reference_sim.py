@@ -28,8 +28,6 @@ from .dynamics import LifParams, TraceParams
 from .plasticity import StdpParams
 from .topology import StateStore, TopologyParams
 
-__all__ = ["dense_simulate"]
-
 
 def dense_simulate(
     store: StateStore,

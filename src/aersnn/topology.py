@@ -37,21 +37,6 @@ import numpy as np
 from .numerics import NumericSpec, QFormat
 from .plasticity import StdpParams
 
-__all__ = [
-    "TopologyParams",
-    "STORE_ARRAYS",
-    "StateStore",
-    "CheckpointError",
-    "build_network",
-    "inhibition_credit",
-    "queue_inhibition",
-    "reset_for_sample",
-    "store_to_bytes",
-    "store_from_bytes",
-    "save_store",
-    "load_store",
-    "atomic_open",
-]
 
 CHECKPOINT_MAGIC = b"AERN"
 CHECKPOINT_VERSION = 1

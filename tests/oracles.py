@@ -1,12 +1,14 @@
 """Test-only oracles: closed-form references the engine's iterative
-update rules are checked against, and the one-stream-at-a-time references
-for the engine's lanes and for the training pass that runs them. Nothing
-in ``aersnn`` calls them."""
+update rules are checked against, the one-stream-at-a-time references
+for the engine's lanes and for the training pass that runs them, and a
+per-class loop for the classifier. Nothing in ``aersnn`` calls them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from aersnn.config import STREAM_TRAIN, derive_seed
 from aersnn.encoders import poisson_encode
@@ -116,3 +118,16 @@ def train_one_by_one(engine, samples, cfg) -> dict:
                 engine.apply_accumulated_updates()
         engine.apply_accumulated_updates()
     return totals
+
+
+def classify_by_loop(counts, labels) -> int:
+    """Reference for ``evaluator.classify``: each class's mean count taken
+    over a mask of its neurons, 0 for a class with none, then the argmax
+    with ties to the lowest class id."""
+    n_classes = labels.response.shape[1]
+    scores = np.zeros(n_classes, dtype=np.float64)
+    for c in range(n_classes):
+        mask = labels.label == c
+        if mask.any():
+            scores[c] = counts[mask].mean()
+    return int(np.argmax(scores))

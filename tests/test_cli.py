@@ -685,6 +685,12 @@ REJECTED_UP_FRONT = {
         tmp, cfg, "engine.fifo_capacity = 0\n"),
     "train-n-classes-negative": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "data.n_classes = -1\n"),
+    # a zero time constant has no decay factor
+    "train-tau-v-zero": lambda tmp, cfg: _train_with_config(tmp, cfg, "lif.tau_v = 0\n"),
+    "train-tau-x-zero": lambda tmp, cfg: _train_with_config(tmp, cfg, "trace.tau_x = 0\n"),
+    # a Q-format descriptor has two parts, and the error names it whole
+    "train-v-format-three-parts": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "numeric.v_format = q2.14.5\n"),
     # output packets carry 16-bit ids: rejected before a 440 MB store is built
     "train-n-exc-past-16-bits": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "topology.n_exc = 70000\n"),
@@ -715,6 +721,10 @@ UP_FRONT_LINES = {
     "eval-digit-splits-differ": "error: mnist needs topology.n_input = 900, got 784",
     "train-n-input-past-16-bits": "error: n_input must be in [1, 65536], got 70000",
     "encode-n-input-past-16-bits": "error: n_input must be in [1, 65536], got 70000",
+    "train-tau-v-zero": "error: tau must be positive, got 0.0",
+    "train-tau-x-zero": "error: tau must be positive, got 0.0",
+    "train-v-format-three-parts": "error: bad Q-format descriptor 'q2.14.5': "
+                                  "invalid literal for int() with base 10: '14.5'",
 }
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aersnn import evaluator
 from aersnn.config import RunConfig
@@ -17,7 +18,7 @@ from aersnn.evaluator import (
 )
 from aersnn.topology import store_to_bytes
 
-from oracles import train_one_by_one
+from oracles import classify_by_loop, train_one_by_one
 
 
 def detector_config(**overrides):
@@ -126,6 +127,18 @@ class TestClassify:
         permuted = classify(counts[perm],
                             labels_of([assignments[k] for k in perm], n_classes=3))
         assert base == permuted
+
+    @given(st.integers(1, 10).flatmap(lambda n_classes: st.tuples(
+        st.just(n_classes),
+        st.lists(st.tuples(st.integers(0, n_classes - 1), st.integers(0, 40)),
+                 min_size=1, max_size=119))))
+    def test_equals_per_class_loop(self, case):
+        # small counts and few neurons per class give ties and empty groups
+        n_classes, neurons = case
+        assignments, counts = zip(*neurons)
+        labels = labels_of(list(assignments), n_classes=n_classes)
+        counts = np.array(counts, dtype=np.int64)
+        assert classify(counts, labels) == classify_by_loop(counts, labels)
 
 
 class TestEvaluate:

@@ -169,6 +169,15 @@ class TestCheckpoint:
         assert loaded.state_equal(store)
         assert store_to_bytes(loaded, seed=42, config_hash=b"\xaa" * 32) == blob
 
+    @pytest.mark.parametrize("numeric", [NumericSpec(), NumericSpec(mode="fixed")])
+    def test_loaded_arrays_are_writeable_and_own_their_memory(self, numeric):
+        blob = store_to_bytes(small_store(numeric=numeric), seed=7)
+        loaded, _, _ = store_from_bytes(blob)
+        payload = np.frombuffer(blob, dtype=np.uint8)
+        for row, a in zip(STORE_ARRAYS, loaded.arrays()):
+            assert a.flags.writeable, row.name
+            assert not np.shares_memory(a, payload), row.name
+
     def test_file_round_trip(self, tmp_path):
         store = small_store()
         path = tmp_path / "net.aern"
