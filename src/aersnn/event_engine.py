@@ -104,10 +104,13 @@ numeric modes, because:
   Otherwise the fired ids are ascending; when they form one range of
   consecutive ids (as when every neuron fires), the columns are
   potentiated in place through one slice, otherwise through one gather
-  and scatter. Clips are two-sided, so weights loaded from outside
-  ``[w_min, w_max]`` are brought inside as the oracle does, and keep a
-  value equal to a bound as it is (``-0.0`` at a bound of ``0.0``), as
-  ``np.clip`` does;
+  and scatter; the trace bumps and voltage resets of the fired neurons
+  take the same slice or ids. A frozen run, and one that records, bumps
+  and resets by the ids: the range test is paid only where that
+  potentiation needs it. Clips are two-sided, so weights loaded from
+  outside ``[w_min, w_max]`` are brought inside as the oracle does, and
+  keep a value equal to a bound as it is (``-0.0`` at a bound of
+  ``0.0``), as ``np.clip`` does;
 * a run that learns into the live weights from weights inside ``[w_min,
   w_max]`` and input traces ``>= 0`` has only gains ``>= 0``, which can
   push a weight above ``w_max`` but never below ``w_min``. It potentiates
@@ -115,18 +118,36 @@ numeric modes, because:
   the store once at its end. Rounded (and integer) addition is monotone,
   so for ``g1, g2 >= 0``, ``min(min(w + g1, M) + g2, M) == min(w + g1 +
   g2, M)``: the weights equal those of a clip at every firing step, which
-  any other run, and a handler called outside a run, still does;
+  any other run, and a handler called outside a run, still does. Such a
+  run also starts from post traces ``>= 0``, which decay and bump to
+  values ``>= 0``, so its drops are ``>= 0``: a row read at most ``w_max``
+  less its drop stays at most ``w_max``, and depression clips at
+  ``w_min`` alone, as ``np.maximum(w_min, rows)``. That operand order
+  returns the row at a tie, as ``np.clip`` does (``-0.0`` stays ``-0.0``
+  at a bound of ``0.0``);
 * pending inhibition is zero at fire time, as the leak just cleared it.
   The credit k firings of a lane queue is then a function of k alone,
   tabulated once per engine for k = 0..n_exc and handed to
-  ``queue_inhibition``. A leak after a step in which no lane fired skips
-  the subtract, the saturation and the clear: pending is then the
-  ``+0.0`` (or 0) the last leak left, ``v - (+0.0)`` is ``v`` for every
-  float, -0.0 included, and a leak toward rest cannot leave the voltage
-  format. Binding lane state, at a run's start and end, counts as a
-  firing, so a pending loaded into the store or left by a run that raised
-  is applied at the next leak; one written into the store between handler
-  calls outside a run waits for the next firing or run.
+  ``queue_inhibition``, with a one-lane run's k, its fired id count. A
+  leak after a step in which no lane fired skips the subtract, the
+  saturation and the clear: pending is then the ``+0.0`` (or 0) the last
+  leak left, ``v - (+0.0)`` is ``v`` for every float, -0.0 included, and
+  a leak toward rest cannot leave the voltage format. Binding lane state,
+  at a run's start and end, counts as a firing, so a pending loaded into
+  the store or left by a run that raised is applied at the next leak; one
+  written into the store between handler calls outside a run waits for
+  the next firing or run;
+* a leak toward a rest of ``+0.0`` (or 0) decays ``v`` itself: ``v -
+  (+0.0)`` is ``v`` for every float, ``-0.0`` included. ``v - (-0.0)`` is
+  ``v + 0.0``, which turns ``-0.0`` into ``+0.0``, so a rest of ``-0.0``
+  keeps the subtraction.
+
+Each constant a handler hands to numpy (threshold, rest, floor, trace
+step and ceiling, weight bounds) is a 0-d array of the store dtype, and
+each coefficient (the two decays and learning rates) a prepared
+multiplier (``numerics``): numpy takes a 0-d array as it is, where it
+converts a Python scalar at every call. The values, and so every result,
+are those of the scalars.
 
 No handler tests the numeric mode: the store's arithmetic object (see
 ``numerics``) does each float- or fixed-specific step, so one set of
@@ -393,17 +414,18 @@ class EventEngine:
         self._w_delta = np.zeros(store.w.shape, store.w.dtype) if accumulate_updates else None
 
         ar = self.arith = store.arith
-        self._decay_v = ar.coef(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)
-        self._decay_x = ar.coef(DecayParams(tau=trace.tau_x, dt=trace.dt).decay)
-        self._thresh = ar.voltage(lif.v_thresh)
-        self._rest = ar.voltage(lif.v_rest)
-        self._floor = ar.voltage(floor)
-        self._alpha = ar.voltage(trace.alpha)
-        self._x_max = ar.voltage(trace.x_max)
-        self._a_pre = ar.coef(stdp.alpha_pre)
-        self._a_post = ar.coef(stdp.alpha_post)
-        self._w_min = ar.weight(stdp.w_min)
-        self._w_max = ar.weight(stdp.w_max)
+        # 0-d operands of the store dtype and prepared multipliers (see the
+        # module docstring)
+        self._thresh, self._rest, self._floor, self._alpha, self._x_max = (
+            np.array(ar.voltage(r), ar.dtype)
+            for r in (lif.v_thresh, lif.v_rest, floor, trace.alpha, trace.x_max))
+        self._w_min, self._w_max = (np.array(ar.weight(r), ar.dtype)
+                                    for r in (stdp.w_min, stdp.w_max))
+        self._decay_v = ar.v_factor(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)
+        self._decay_x = ar.v_factor(DecayParams(tau=trace.tau_x, dt=trace.dt).decay)
+        self._a_pre, self._a_post = ar.w_factor(stdp.alpha_pre), ar.w_factor(stdp.alpha_post)
+        # whether the leak may skip v - rest: only for a rest of +0.0 (or 0)
+        self._rest_is_zero = bool(self._rest == 0 and not np.signbit(self._rest))
         self._inh_credit = inhibition_credit(store, topology.w_inh)
         # the rows a frozen run integrates, and bounds on their entries
         self._frozen = self._row_bounds = None
@@ -453,12 +475,13 @@ class EventEngine:
             # the copy's n_input + 1 rows take the lane offsets off
             rows = self._frozen.take(ids, axis=0, mode="wrap")
         else:
-            # live-weight learning runs one lane: the store's rows as they are
-            live = store.w[ids]
+            # live-weight learning runs one lane, which has no pad ids: the
+            # store's rows as they are, 2-D
+            live = store.w.take(ids[0], axis=0)
             if self._defer:
                 # potentiation left them unclipped, and only above w_max
                 np.minimum(self._w_max, live, out=live)
-            rows = ar.w_to_v(live)
+            rows = ar.w_to_v(live)[None]
         if self.learning:
             drop = ar.mul_w(self._exc_x, self._a_post)
             if self._records is not None:
@@ -472,7 +495,12 @@ class EventEngine:
                 # the gathered rows go back depressed before add_rows
                 # overwrites them
                 depressed = live - drop
-                store.w[ids] = saturate_raw(depressed, self._w_min, self._w_max, out=depressed)
+                if self._defer:
+                    # rows at most w_max less drops >= 0 can only cross w_min
+                    store.w[ids[0]] = np.maximum(self._w_min, depressed, out=depressed)
+                else:
+                    store.w[ids[0]] = saturate_raw(depressed, self._w_min, self._w_max,
+                                                   out=depressed)
             else:
                 # one lane, which has no pad ids
                 self._w_delta[ids[0]] -= drop[0]
@@ -484,11 +512,11 @@ class EventEngine:
 
     def leak_handler(self) -> None:
         ar, v = self.arith, self._exc_v
-        v -= ar.mul_v(v - self._rest, self._decay_v)
+        v -= ar.mul_v(v if self._rest_is_zero else v - self._rest, self._decay_v)
         if self._inhibition_queued:
             v -= self._pending
             ar.saturate_v(v)
-            self._pending[:] = 0
+            self._pending.fill(0)
             self._inhibition_queued = False
         np.maximum(v, self._floor, out=v)
         if self.learning:
@@ -503,7 +531,10 @@ class EventEngine:
         fired = crossed.reshape(-1).nonzero()[0]
         if fired.size:
             self._inhibition_queued = True
-            queue_inhibition(self.store, crossed, self._inh_credit, self._pending)
+            # one lane's firing count is its fired ids'
+            queue_inhibition(self.store, crossed, self._inh_credit, self._pending,
+                             fired.size if len(crossed) == 1 else None)
+            at = fired
             if self.learning:
                 if self._records is not None:
                     # per lane its gains (the pad column's is dropped) times
@@ -512,29 +543,32 @@ class EventEngine:
                     left[:] = self.arith.mul_w(self._input_x, self._a_pre)
                     right[:] = crossed
                 else:
-                    # one lane, whose fired indices are its neuron ids
-                    self._potentiate(fired)
+                    # one lane, whose fired indices are its neuron ids:
+                    # ascending ids that form one range are one slice
+                    lo, hi = int(fired[0]), int(fired[-1]) + 1
+                    if hi - lo == fired.size:
+                        at = slice(lo, hi)
+                    self._potentiate(at)
                 ex = self._exc_x_flat
-                ex[fired] = np.minimum(ex[fired] + self._alpha, self._x_max)
-            self._exc_v_flat[fired] = self._rest
+                ex[at] = np.minimum(ex[at] + self._alpha, self._x_max)
+            self._exc_v_flat[at] = self._rest
         return fired
 
-    def _potentiate(self, fired: np.ndarray) -> None:
-        """Add the one lane's gains to the ``fired`` columns of the live
+    def _potentiate(self, at: slice | np.ndarray) -> None:
+        """Add the one lane's gains to the fired columns of the live
         weights, clipped unless the run defers the clip, or of the batched
-        deltas: in place through a column slice for one range of ids, else
-        through one gather and scatter (see the module docstring)."""
+        deltas: in place through the column slice ``at`` of one range of
+        ids, else through one gather and scatter of the ids ``at`` (see the
+        module docstring)."""
         gain = self.arith.mul_w(self._input_x[0, :self.store.n_input, None], self._a_pre)
         live = self._w_delta is None
         target = self.store.w if live else self._w_delta
-        lo, hi = int(fired[0]), int(fired[-1]) + 1
-        one_range = hi - lo == fired.size
-        cols = target[:, lo:hi] if one_range else target[:, fired]
+        cols = target[:, at]
         cols += gain
         if live and not self._defer:
             np.clip(cols, self._w_min, self._w_max, out=cols)
-        if not one_range:
-            target[:, fired] = cols
+        if not isinstance(at, slice):
+            target[:, at] = cols
 
     def _record(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``n`` rows of the left and right factors of the run's
@@ -602,7 +636,7 @@ class EventEngine:
         # the pad id's input traces are 0
         self._defer = bool(self.learning and self._w_delta is None
                            and store.w.min() >= self._w_min and store.w.max() <= self._w_max
-                           and self._input_x.min() >= 0)
+                           and self._input_x.min() >= 0 and self._exc_x.min() >= 0)
         # weights a run does not change are read from a copy with a pad row,
         # converted to the voltage format once
         if not self.learning or self._w_delta is not None:

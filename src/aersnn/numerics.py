@@ -26,6 +26,11 @@ to evaluate exactly these operations in this order.
 The scalar kernels accept floats, float arrays and ``Fixed`` values. The
 engine and the store hold one arithmetic object instead, picked once by
 ``NumericSpec.arithmetic``: ``FloatArithmetic`` or ``FixedArithmetic``.
+Its array products take each coefficient as a prepared multiplier
+(``v_factor``, ``w_factor``), a 0-d float64 made once per coefficient: the
+coefficient itself in float mode, and in fixed mode its mantissa scaled by
+the power of two the product drops, so a fixed product is
+``trunc_shift_raw``: one float64 multiply and a truncation.
 """
 
 from __future__ import annotations
@@ -258,15 +263,15 @@ def saturate_raw(raw: np.ndarray, lo: int, hi: int, out: np.ndarray | None = Non
     return np.minimum(hi, np.maximum(lo, raw, out=out), out=out)
 
 
-def trunc_shift_raw(x: np.ndarray, shift: int, coef: int = 1) -> np.ndarray:
+def trunc_shift_raw(x: np.ndarray, factor: float | np.ndarray) -> np.ndarray:
     """``x * coef * 2**-shift`` truncated toward zero, in one float64
-    multiply by the pre-scaled coefficient. Exact while the integer product
-    satisfies ``|x * coef| < 2**53`` and the result fits int64: float64
-    holds ``x``, ``coef`` and their product exactly, the power-of-two scale
-    keeps the significand and ``astype`` truncates. Engine products are
-    below ``2**49``: mantissas and their differences below ``2**33`` times
-    coefficients below ``2**16``."""
-    return (x * (coef * 2.0 ** -shift)).astype(np.int64)
+    multiply by the prepared multiplier ``factor = coef * 2.0**-shift``.
+    Exact while the integer product satisfies ``|x * coef| < 2**53`` and
+    the result fits int64: float64 holds ``x``, ``coef`` and their product
+    exactly, the power-of-two scale keeps the significand and ``astype``
+    truncates. Engine products are below ``2**49``: mantissas and their
+    differences below ``2**33`` times coefficients below ``2**16``."""
+    return (x * factor).astype(np.int64)
 
 
 def fold_work(rows: int, m: int, n: int) -> tuple[np.ndarray, ...]:
@@ -337,13 +342,21 @@ class FloatArithmetic:
     def voltage(self, r: float) -> float:
         return float(r)
 
-    weight = coef = voltage
+    weight = voltage
 
     def weights(self, reals: np.ndarray) -> np.ndarray:
         return np.asarray(reals, dtype=np.float64)
 
-    def mul_v(self, x: np.ndarray, coef: float) -> np.ndarray:
-        return x * coef
+    def v_factor(self, r: float) -> np.ndarray:
+        """The operand of ``mul_v`` and ``mul_w`` for the coefficient ``r``:
+        a 0-d array, which numpy takes as it is, where it converts a Python
+        scalar at every call."""
+        return np.array(float(r))
+
+    w_factor = v_factor
+
+    def mul_v(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        return x * factor
 
     mul_w = mul_v
 
@@ -364,8 +377,10 @@ class FloatArithmetic:
         order, for every lane b of the ``(lanes, n)`` voltages; the ``(lanes,
         K, n)`` rows are C-ordered, and are overwritten. Float adds do not
         saturate, so the row ``bounds`` go unused."""
-        # the sums below add v + rows[0], rows[1], ... in that order
-        rows[:, 0] += v
+        # the sums below add v + rows[0], rows[1], ... in that order; an
+        # in-place ufunc, as ``+=`` on a subscript also sets the item back
+        first = rows[:, 0]
+        np.add(first, v, out=first)
         if v.shape[1] == 1:
             # a reduction over a lone column would run pairwise; a
             # cumulative sum always adds row after row
@@ -402,12 +417,23 @@ class FixedArithmetic:
     def weights(self, reals: np.ndarray) -> np.ndarray:
         return quantize_array(reals, self.w_format)
 
-    def mul_v(self, x: np.ndarray, coef: int) -> np.ndarray:
-        # |result| <= |x| as coef < 1, so a leak step needs no saturation
-        return trunc_shift_raw(x, COEF_FORMAT.frac_bits, coef)
+    def v_factor(self, r: float) -> np.ndarray:
+        """The prepared multiplier of ``mul_v`` for the coefficient ``r``:
+        its mantissa (``coef``) times ``2**-14`` as a 0-d float64, computed
+        once instead of at every call."""
+        return np.array(self.coef(r) * 2.0 ** -COEF_FORMAT.frac_bits)
 
-    def mul_w(self, x: np.ndarray, coef: int) -> np.ndarray:
-        return trunc_shift_raw(x, self.w_shift, coef)
+    def w_factor(self, r: float) -> np.ndarray:
+        """The prepared multiplier of ``mul_w``: ``coef(r) * 2**-w_shift``."""
+        return np.array(self.coef(r) * 2.0 ** -self.w_shift)
+
+    def mul_v(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """``trunc_shift_raw`` by a prepared multiplier (``v_factor``, or
+        ``w_factor`` as ``mul_w``). A decay is below 1, so a leak step's
+        ``|result| <= |x|`` needs no saturation."""
+        return trunc_shift_raw(x, factor)
+
+    mul_w = mul_v
 
     # a saturating add of zero leaves a value in range as it is
     pad = 0

@@ -169,13 +169,15 @@ def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
 
 
 def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
-                     pending: np.ndarray) -> np.ndarray:
+                     pending: np.ndarray, k: int | None = None) -> np.ndarray | None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
     except the firing one, once per firing neuron of the same lane; the
     next leak phase applies and clears it. ``crossed`` is the ``(lanes,
     n_exc)`` mask of the firing neurons, ``pending`` the lanes' pending
-    inhibition and ``credit`` ``inhibition_credit(store, w_inh)``. Returns
-    the ``(lanes, 1)`` firing counts.
+    inhibition and ``credit`` ``inhibition_credit(store, w_inh)``. A
+    caller that knows a lone lane's firing count passes it as ``k``, which
+    saves counting ``crossed`` by a casting reduction; otherwise the
+    ``(lanes, 1)`` counts are counted and returned.
 
     Closed form of the per-neuron loop: with k distinct neurons firing in a
     lane, every other neuron of the lane is credited k times and each
@@ -185,10 +187,12 @@ def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
     inhibition yet, which is so at fire time, right after the leak cleared
     it.
     """
-    k = np.add.reduce(crossed, axis=1, keepdims=True, dtype=np.intp)
+    counts = None
+    if k is None:
+        k = counts = np.add.reduce(crossed, axis=1, keepdims=True, dtype=np.intp)
     pending += credit[k - crossed]
     store.arith.saturate_v(pending)
-    return k
+    return counts
 
 
 def reset_for_sample(store: StateStore) -> None:

@@ -403,7 +403,7 @@ class TestBatchedUpdates:
         eng = make_engine(n_input=4, n_exc=10, numeric=Q8_8, accumulate_updates=True)
         before = eng.store.w.copy()
         eng.store.input_x[:] = [eng.arith.voltage(x) for x in (0.5, 1.0, 1.5, 2.0)]
-        gain = eng.arith.mul_w(eng.store.input_x, eng.arith.coef(eng.stdp.alpha_pre))
+        gain = eng.arith.mul_w(eng.store.input_x, eng.arith.w_factor(eng.stdp.alpha_pre))
         assert gain.all()
         for times in (1, 2):
             eng.store.exc_v[list(fired)] = eng.arith.voltage(eng.lif.v_thresh)

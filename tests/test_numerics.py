@@ -412,10 +412,12 @@ class TestExpDecayReference:
 
 
 class TestRawArrayKernels:
+    # the engine multiplies by prepared 0-d factors (v_factor, w_factor),
+    # so these tests take the same operands
     def test_matches_scalar_leak_decay(self):
         p = DecayParams(tau=6.0, dt=1.0)
         raws = np.array([-32768, -301, -1, 0, 1, 517, 32767], dtype=np.int64)
-        out = raws - FIXED.mul_v(raws, FIXED.coef(p.decay))
+        out = raws - FIXED.mul_v(raws, FIXED.v_factor(p.decay))
         for raw, got in zip(raws, out):
             assert got == leak_decay(Fixed(int(raw), Q8_8), p).raw
 
@@ -423,7 +425,7 @@ class TestRawArrayKernels:
         p = DecayParams(tau=10.0, dt=1.0)
         rest = to_fixed(-1.0, Q8_8)
         raws = np.array([-32768, -300, 0, 250, 32767], dtype=np.int64)
-        out = raws - FIXED.mul_v(raws - rest.raw, FIXED.coef(p.decay))
+        out = raws - FIXED.mul_v(raws - rest.raw, FIXED.v_factor(p.decay))
         for raw, got in zip(raws, out):
             assert got == leak_toward(Fixed(int(raw), Q8_8), rest, p).raw
 
@@ -435,7 +437,7 @@ class TestRawArrayKernels:
         products = data.draw(st.lists(st.one_of(st.integers(-top, top),
                                                 st.sampled_from([-top, -1, 0, 1, top])),
                                       min_size=1, max_size=20))
-        got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
+        got = trunc_shift_raw(np.array(products, dtype=np.int64), 2.0 ** -shift)
         assert got.tolist() == [_trunc_shift_int(p, shift) for p in products]
 
     @pytest.mark.parametrize("top, shifts", [
@@ -447,7 +449,7 @@ class TestRawArrayKernels:
     def test_trunc_shift_at_the_edges(self, top, shifts):
         products = [-top, -top + 1, top - 1, top]
         for shift in shifts:
-            got = trunc_shift_raw(np.array(products, dtype=np.int64), shift)
+            got = trunc_shift_raw(np.array(products, dtype=np.int64), 2.0 ** -shift)
             assert got.tolist() == [_trunc_shift_int(p, shift) for p in products], shift
 
     @given(v_int=st.integers(2, 16), v_frac=st.integers(0, 12), w_frac=st.integers(4, 20),
@@ -459,16 +461,24 @@ class TestRawArrayKernels:
     def test_one_multiply_products_match_scalar(self, v_int, v_frac, w_frac, coef, spread):
         # w_shift = 14 + v_frac - w_frac runs from -6 through 0 to 22; the
         # 28-bit spread is scaled onto the voltage format, whose rails are
-        # always among the mantissas
+        # always among the mantissas. The factors are prepared from the
+        # coefficient's real value, which quantizes back to the mantissa
         arith = NumericSpec(mode="fixed", v_format=QFormat(v_int, v_frac),
                             w_format=QFormat(2, w_frac)).arithmetic
         fmt = arith.v_format
         raws = [fmt.raw_min, -1, 0, 1, fmt.raw_max] + [r >> (28 - fmt.total_bits) for r in spread]
         x = np.array(raws, dtype=np.int64)
-        for got, shift in ((arith.mul_v(x, coef), COEF_FORMAT.frac_bits),
-                           (arith.mul_w(x, coef), arith.w_shift)):
+        real = coef * COEF_FORMAT.lsb
+        assert arith.coef(real) == coef
+        c = Fixed(coef, COEF_FORMAT)
+        for got, shift, out in ((arith.mul_v(x, arith.v_factor(real)), COEF_FORMAT.frac_bits, fmt),
+                                (arith.mul_w(x, arith.w_factor(real)), arith.w_shift,
+                                 arith.w_format)):
             assert got.dtype == np.int64
             assert got.tolist() == [_trunc_shift_int(r * coef, shift) for r in raws], shift
+            # the scalar product is the same, saturated to its format
+            assert np.clip(got, out.raw_min, out.raw_max).tolist() == \
+                [fixed_mul(Fixed(r, fmt), c, out).raw for r in raws], shift
 
     @given(st.sampled_from([(WEIGHT_FORMAT, VOLTAGE_FORMAT), (VOLTAGE_FORMAT, WEIGHT_FORMAT),
                             (Q8_8, QFormat(3, 8)), (QFormat(3, 8), Q8_8)]),

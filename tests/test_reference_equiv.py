@@ -258,6 +258,30 @@ class TestEngineMatchesDense:
         assert_bit_identical(*both, label="signed zero")
         assert np.signbit(stores[0].w).all()
 
+    @pytest.mark.parametrize("learning", [True, False])
+    def test_negative_zero_rest_keeps_its_sign(self, learning):
+        # a leak toward +0.0 may skip v - rest, one toward -0.0 may not:
+        # -0.0 - (-0.0) is +0.0. Four inputs fire the neuron at step 2, it
+        # resets to -0.0, and the quiet steps after must leave it there
+        lif = LifParams(v_rest=-0.0, v_thresh=1.0, tau_v=10.0, dt=1.0)
+        trace = TraceParams(tau_x=5.0, alpha=1.0, x_max=3.0, dt=1.0)
+        stdp = StdpParams(alpha_pre=0.1, alpha_post=0.1)
+        topology = TopologyParams(n_input=4, n_exc=1, w_inh=0.4)
+        grid = np.zeros((5, 4), dtype=bool)
+        grid[2] = True
+        stores = [build_network(topology, stdp, seed=1, v_rest=-0.0) for _ in range(2)]
+        for store in stores:
+            store.w[:] = 0.5
+        res = EventEngine(stores[0], lif, trace, stdp, topology, learning=learning).run(
+            grid_to_packets(grid), stop_ts=5)
+        assert res.outputs.timestamp.tolist() == [2]
+        out_grid = np.zeros((5, 1), dtype=bool)
+        out_grid[2, 0] = True
+        ref_grid = dense_simulate(stores[1], lif, trace, stdp, topology, grid,
+                                  learning=learning)
+        assert_bit_identical(stores[0], out_grid, stores[1], ref_grid, label="rest -0.0")
+        assert stores[0].exc_v.tolist() == [0.0] and np.signbit(stores[0].exc_v).all()
+
     def test_potentiation_past_w_max_then_depression(self):
         # weights at and just below w_max: inputs 0-2 make every neuron
         # fire in steps 0-4, each firing potentiating every column past

@@ -118,6 +118,18 @@ class TestQueueInhibition:
         assert pending.tolist() == [[0.5, 0.5, 1.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
         assert counts.tolist() == [[2], [0], [1]]
 
+    @pytest.mark.parametrize("numeric", [NumericSpec(), NumericSpec(mode="fixed")])
+    def test_a_given_count_queues_the_same(self, numeric):
+        store = small_store(numeric=numeric)
+        credit = inhibition_credit(store, 0.75)
+        for fired in ([], [0], [0, 2], [0, 1, 2]):
+            crossed = np.zeros((1, store.n_exc), dtype=bool)
+            crossed[0, fired] = True
+            counted, given = np.zeros((2, 1, store.n_exc), dtype=store.pending.dtype)
+            assert queue_inhibition(store, crossed, credit, counted).tolist() == [[len(fired)]]
+            assert queue_inhibition(store, crossed, credit, given, len(fired)) is None
+            assert given.tobytes() == counted.tobytes(), fired
+
     def test_self_exclusion(self):
         store = small_store()
         before = store.pending[1]
