@@ -64,10 +64,13 @@ earlier occurrence. It counts, into one per-step record per lane
 (``STEP_DTYPE``), the packets that arrived, the packets integrated and
 the neurons fired, so no handler counts; ``EngineStats`` holds its column
 sums. Each lane's ``RunResult`` holds both, and the engine keeps the last
-lane's record as ``steps``. That record is all a run keeps per timestep:
-beyond it, it holds objects only for the steps that have packets or
-fire, so a long quiet stretch, as in a replayed recording, costs its 24
-bytes a step per lane.
+lane's record as ``steps``. That record is all a run keeps per timestep.
+Its plan is one flat array of the lanes' padded ids and, per block of
+them, a step and an offset: the run slices each block as its step comes.
+Beyond these it keeps the fired ids of each step that fires, so a long
+quiet stretch, as in a replayed recording, costs its 24 bytes a step per
+lane. After its last step, it counts the fired neurons of every step at
+once and fills one packet array, whose slices are the lanes' outputs.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -284,35 +287,33 @@ def check_store(store: StateStore, lif: LifParams, topology: TopologyParams) -> 
     (``reset_for_sample``), while the engine leaks toward and resets to
     the one in ``lif``."""
     if topology.n_input != store.n_input or topology.n_exc != store.n_exc:
-        raise ValueError(
-            f"topology {topology.n_input}x{topology.n_exc} does not match "
-            f"store {store.n_input}x{store.n_exc}"
-        )
+        raise ValueError(f"topology {topology.n_input}x{topology.n_exc} does not match "
+                         f"store {store.n_input}x{store.n_exc}")
     if lif.v_rest != store.v_rest:
         raise ValueError(f"lif.v_rest {lif.v_rest} does not match store v_rest {store.v_rest}")
 
 
-def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, dict]:
+def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple:
     """Check every stream, lowest lane first. Return the lanes' ``(lanes,
     stop_ts)`` step records of the packets that arrived and those
-    integrated, and, keyed by each timestep that integrates any, the
-    ``(lanes, K)`` id arrays the lanes integrate in turn: a lane's ids of
-    the step inside the input layer, cut into consecutive runs in which no
-    id repeats (a step whose ids ascend is one run, any other is cut
-    before each id already seen in its run). Array k holds run k of every
-    lane, short rows filled up with the pad id ``n_input``; lane b's ids
-    are offset by ``b * (n_input + 1)``, so they index its input traces in
-    the lanes' flat state."""
+    integrated, and the blocks of ids the lanes integrate in turn: the
+    flat ids of all blocks, each block's timestep followed by ``stop_ts``,
+    and the blocks' offsets into the ids followed by their end. A block
+    holds one run of every lane of its step: a lane's ids of the step
+    inside the input layer are cut into consecutive runs in which no id
+    repeats (a step whose ids ascend is one run, any other is cut before
+    each id already seen in its run), and block k of a step holds run k
+    of every lane as a ``(lanes, K)`` array, short rows filled up with the
+    pad id ``n_input``. Lane b's ids are offset by ``b * (n_input + 1)``,
+    so they index its input traces in the lanes' flat state."""
     streams = [np.asarray(packets) for packets in streams]
     for packets in streams:
         _check_stream(packets["timestamp"], stop_ts)
     n_lanes = len(streams)
-    bounds = np.cumsum([0] + [packets.size for packets in streams]).tolist()
-    key = np.empty(bounds[-1], dtype=np.int64)  # lane * stop_ts + timestep
-    ids = np.empty(bounds[-1], dtype=np.intp)
-    for lane, (packets, lo, hi) in enumerate(zip(streams, bounds, bounds[1:])):
-        np.add(packets["timestamp"], lane * stop_ts, out=key[lo:hi], dtype=np.int64)
-        ids[lo:hi] = packets["neuron_id"]
+    # lane * stop_ts + timestep
+    key = np.concatenate([np.add(packets["timestamp"], lane * stop_ts, dtype=np.int64)
+                          for lane, packets in enumerate(streams)])
+    ids = np.concatenate([packets["neuron_id"] for packets in streams], dtype=np.intp)
     steps = np.zeros((n_lanes, stop_ts), dtype=STEP_DTYPE)
     record = steps.reshape(-1)
     keep = ids < n_input
@@ -320,9 +321,8 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
     if dropped:
         np.add.at(record["packets_in"], key, 1)
         key, ids = key[keep], ids[keep]
-    runs = {}
     if not ids.size:
-        return steps, runs
+        return steps, ids, [stop_ts], [0]
     # a cell is one run of one lane's step, block (t, k) run k of step t
     new_cell = np.concatenate(([True], key[1:] != key[:-1]))
     back = np.flatnonzero(~new_cell[1:] & (ids[1:] <= ids[:-1])) + 1
@@ -336,40 +336,37 @@ def _plan_lanes(streams: list, stop_ts: int, n_input: int) -> tuple[np.ndarray, 
                     seen.clear()
                 seen.add(i)
     cell = np.flatnonzero(new_cell)
-    size = np.diff(cell, append=ids.size)
     cell_key = key[cell]
-    cell_lane, cell_ts = np.divmod(cell_key, stop_ts)
     first = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
     # the keys ascend, so a key's first cell starts its integrated packets
     counts = np.diff(cell[first], append=ids.size)
     for column in ("integrated",) if dropped else ("integrated", "packets_in"):
         record[column][cell_key[first]] = counts
+    if n_lanes == 1:
+        # one lane's cells are its blocks, ascending, and hold its ids in order
+        return steps, ids, cell_key.tolist() + [stop_ts], cell.tolist() + [ids.size]
+    size = np.diff(cell, append=ids.size)
+    cell_lane, cell_ts = np.divmod(cell_key, stop_ts)
     # the run index of a cell counts the cells of its lane's step before it
     index = np.arange(cell.size)
     cell_run = index - np.maximum.accumulate(np.where(first, index, 0))
     n_runs = int(cell_run.max()) + 1
     block = cell_ts * n_runs + cell_run
-    if n_lanes == 1:
-        # one lane's cells are its blocks, ascending, and hold its ids in order
-        blocks, flat, offset = block, ids, np.append(cell, ids.size)
-    else:
-        # the occupied blocks: each lane's ascend, so a stable sort merges them
-        order = np.argsort(block, kind="stable")
-        sorted_block = block[order]
-        new_block = np.concatenate(([True], sorted_block[1:] != sorted_block[:-1]))
-        blocks = sorted_block[new_block]
-        where = np.empty_like(order)
-        where[order] = np.cumsum(new_block) - 1
-        width = np.maximum.reduceat(size[order], np.flatnonzero(new_block))
-        offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
-        ids += np.repeat(cell_lane * (n_input + 1), size)
-        pads = np.arange(n_lanes) * (n_input + 1) + n_input
-        flat = np.repeat(np.tile(pads, blocks.size), np.repeat(width, n_lanes))
-        start = offset[where] + cell_lane * width[where]
-        flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
-    for b, lo, hi in zip(blocks.tolist(), offset[:-1].tolist(), offset[1:].tolist()):
-        runs.setdefault(b // n_runs, []).append(flat[lo:hi].reshape(n_lanes, -1))
-    return steps, runs
+    # the occupied blocks: each lane's ascend, so a stable sort merges them
+    order = np.argsort(block, kind="stable")
+    sorted_block = block[order]
+    new_block = np.concatenate(([True], sorted_block[1:] != sorted_block[:-1]))
+    blocks = sorted_block[new_block]
+    where = np.empty_like(order)
+    where[order] = np.cumsum(new_block) - 1
+    width = np.maximum.reduceat(size[order], np.flatnonzero(new_block))
+    offset = np.concatenate(([0], np.cumsum(width * n_lanes)))
+    ids += np.repeat(cell_lane * (n_input + 1), size)
+    pads = np.arange(n_lanes) * (n_input + 1) + n_input
+    flat = np.repeat(np.tile(pads, blocks.size), np.repeat(width, n_lanes))
+    start = offset[where] + cell_lane * width[where]
+    flat[np.repeat(start - cell, size) + np.arange(ids.size)] = ids
+    return steps, flat, (blocks // n_runs).tolist() + [stop_ts], offset.tolist()
 
 
 class EventEngine:
@@ -630,8 +627,10 @@ class EventEngine:
                              f"and sum exactly, got {n_lanes} streams")
         if not streams:
             return []
+        if stop_ts > 2**32:
+            raise ValueError(f"stop_ts must be at most 2**32, got {stop_ts}")
         store, ar = self.store, self.arith
-        steps, runs = _plan_lanes(streams, stop_ts, store.n_input)
+        steps, ids, block_ts, offsets = _plan_lanes(streams, stop_ts, store.n_input)
         state = self._bind(n_lanes)
         # the pad id's input traces are 0
         self._defer = bool(self.learning and self._w_delta is None
@@ -644,8 +643,7 @@ class EventEngine:
             # a block of rows at a time keeps the conversion's temporaries small
             for lo in range(0, store.n_input, 64):
                 self._frozen[lo:min(lo + 64, store.n_input)] = ar.w_to_v(store.w[lo:lo + 64])
-            self._row_bounds = (min(self._frozen.min().item(), 0),
-                                max(self._frozen.max().item(), 0))
+            self._row_bounds = ar.row_bounds(self._frozen)
         if self.learning and self.learns_in_lanes:
             # a handler call records one row of each factor per lane, so
             # the records take at least one call
@@ -653,14 +651,17 @@ class EventEngine:
             self._records = (np.zeros((rows, store.n_input + 1), np.int64),
                              np.zeros((rows, store.n_exc), np.int64),
                              fold_work(rows, store.n_input, store.n_exc))
+        integrate, leak, fire = self.integrate_handler, self.leak_handler, self.fire_handler
         # the fired ids of the steps that fire, and those steps
         fired_per_step, fire_steps = [], []
+        b = 0
         try:
             for t in range(stop_ts):
-                for run in runs.get(t, ()):
-                    self.integrate_handler(run)
-                self.leak_handler()
-                fired = self.fire_handler()
+                while block_ts[b] == t:
+                    integrate(ids[offsets[b]:offsets[b + 1]].reshape(n_lanes, -1))
+                    b += 1
+                leak()
+                fired = fire()
                 if fired.size:
                     fired_per_step.append(fired)
                     fire_steps.append(t)
@@ -676,27 +677,36 @@ class EventEngine:
 
         # the lanes' packets can be many: the plan goes first, and the fired
         # ids are held once
-        del runs
-        sizes = [f.size for f in fired_per_step]
+        del ids
+        sizes = list(map(len, fired_per_step))
         fired = np.concatenate([np.empty(0, np.intp)] + fired_per_step)
         del fired_per_step
-        f_ts = np.repeat(np.array(fire_steps, dtype=np.uint32), sizes)
-        f_lane = fired // store.n_exc
-        np.add.at(steps["fired"], (f_lane, f_ts), 1)
+        # in range by construction: ids below n_exc <= 65536, steps below
+        # stop_ts <= 2**32
+        packets = np.empty(fired.size, PACKET_DTYPE).view(np.recarray)
+        packets["timestamp"] = np.repeat(fire_steps, sizes)
+        counts = steps.reshape(-1)["fired"]
+        if n_lanes == 1:
+            packets["neuron_id"] = fired
+            counts[fire_steps] = sizes
+        else:
+            # a stable order by lane * stop_ts + step puts each lane's
+            # packets together, in the order they fired
+            key = fired // store.n_exc
+            packets["neuron_id"] = fired - key * store.n_exc
+            key = key * stop_ts + packets["timestamp"]
+            counts[:] = np.bincount(key, minlength=counts.size)
+            packets = packets.take(np.argsort(key, kind="stable"))
         # the lowest lane that overflows raises, at its first such step
-        full = np.flatnonzero(steps["fired"] > self.fifo_capacity)
+        full = np.flatnonzero(counts > self.fifo_capacity)
         if full.size:
-            lane, t = divmod(int(full[0]), stop_ts)
-            raise FifoOverflowError(f"{steps['fired'][lane, t]} neurons fired at step {t}, "
-                                    f"output FIFO holds {self.fifo_capacity}")
+            raise FifoOverflowError(f"{counts[full[0]]} neurons fired at step "
+                                    f"{full[0] % stop_ts}, output FIFO holds {self.fifo_capacity}")
         for a, lanes in state:
             a[:] = lanes[-1, :a.size]
-        fired -= f_lane * store.n_exc
-        packets = packet_array(fired, f_ts)
-        del fired, f_ts
-        outputs = [packets[f_lane == lane] for lane in range(n_lanes)]
-        results = [RunResult(outputs=out, stats=EngineStats.from_steps(rec), steps=rec)
-                   for out, rec in zip(outputs, steps)]
+        ends = np.cumsum(steps["fired"].sum(axis=1)).tolist()
+        results = [RunResult(outputs=packets[lo:hi], stats=EngineStats.from_steps(rec), steps=rec)
+                   for lo, hi, rec in zip([0] + ends, ends, steps)]
         self.steps = results[-1].steps
         return results
 

@@ -371,6 +371,10 @@ class FloatArithmetic:
     def w_to_v(self, rows: np.ndarray) -> np.ndarray:
         return rows
 
+    def row_bounds(self, rows: np.ndarray) -> None:
+        """Float adds do not saturate: ``add_rows`` takes no row bounds."""
+        return None
+
     def add_rows(self, v: np.ndarray, rows: np.ndarray,
                  bounds: tuple | None = None) -> None:
         """``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in place, in that
@@ -447,15 +451,21 @@ class FixedArithmetic:
         """Weight mantissas re-quantized to the voltage format."""
         return convert_raw_array(rows, self.w_format, self.v_format)
 
+    def row_bounds(self, rows: np.ndarray) -> tuple[int, int]:
+        """``(min(rows.min(), 0), max(rows.max(), 0))``: bounds on the
+        entries of ``rows`` for ``add_rows``."""
+        return min(rows.min().item(), 0), max(rows.max().item(), 0)
+
     def add_rows(self, v: np.ndarray, rows: np.ndarray,
                  bounds: tuple | None = None) -> None:
         """Saturating ``v[b] += rows[b, 0]; v[b] += rows[b, 1]; ...`` in
         place, for every lane b of the ``(lanes, n)`` voltages; the rows
         are in the voltage format (``w_to_v``). ``bounds``, if given, are a
         ``(lo, hi)`` pair with ``lo <= min(rows.min(), 0)`` and ``hi >=
-        max(rows.max(), 0)``, such as a frozen copy's that every call of a
-        run reads from; otherwise the rows' own are taken."""
-        lo, hi = bounds or (min(rows.min(), 0), max(rows.max(), 0))
+        max(rows.max(), 0)``, such as the ``row_bounds`` of a frozen copy
+        that every call of a run reads from; otherwise the rows' own are
+        taken."""
+        lo, hi = bounds or self.row_bounds(rows)
         # every prefix v + rows[0] + ... + rows[k] of the K rows lies in
         # [v.min() + K * lo, v.max() + K * hi]: inside the format no add
         # saturates, and one int64 sum is exact

@@ -91,10 +91,12 @@ def step_by_handlers(engine, packets, stop_ts: int) -> None:
     Such calls update the live weights or the batched deltas at every
     step, where a run that learns in lanes records them and folds the
     records by the block."""
-    _, runs = _plan_lanes([packets], stop_ts, engine.store.n_input)
+    _, ids, block_ts, offsets = _plan_lanes([packets], stop_ts, engine.store.n_input)
+    b = 0
     for t in range(stop_ts):
-        for ids in runs.get(t, ()):
-            engine.integrate_handler(ids)
+        while block_ts[b] == t:
+            engine.integrate_handler(ids[offsets[b]:offsets[b + 1]].reshape(1, -1))
+            b += 1
         engine.leak_handler()
         engine.fire_handler()
 

@@ -111,6 +111,126 @@ def test_saturating_and_quiet_lanes_together(n_lanes):
     assert state_bytes(engines[0]) == state_bytes(engines[1])
 
 
+def runs_of(ids, n_input):
+    """A lane's ids of one step inside the input layer, cut before each id
+    already seen in its run."""
+    runs = [[]]
+    for i in ids:
+        if i < n_input:
+            if i in runs[-1]:
+                runs.append([])
+            runs[-1].append(i)
+    return [run for run in runs if run]
+
+
+@given(
+    n_input=st.integers(1, 8),
+    # per lane, per busy step: the steps since the last busy one, and its
+    # ids, some past the input layer and some repeated
+    lanes=st.lists(st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 10),
+                                                                    max_size=8)),
+                            max_size=6),
+                   min_size=1, max_size=6),
+    tail=st.integers(0, 2),
+)
+def test_plan_gives_each_lane_its_runs_in_stream_order(n_input, lanes, tail):
+    streams, want, stop_ts = [], [], 0
+    for busy in lanes:
+        t, ids, ts, runs = -1, [], [], []
+        for gap, step_ids in busy:
+            t += gap + 1
+            ids += step_ids
+            ts += [t] * len(step_ids)
+            runs += [(t, run) for run in runs_of(step_ids, n_input)]
+        streams.append(packet_array(np.array(ids, dtype=np.int64), np.array(ts, dtype=np.int64)))
+        want.append(runs)
+        stop_ts = max(stop_ts, t + 1)
+    stop_ts += tail
+    n_lanes = len(streams)
+    steps, ids, block_ts, offsets = event_engine._plan_lanes(streams, stop_ts, n_input)
+    assert steps.shape == (n_lanes, stop_ts) and not steps["fired"].any()
+    for lane, packets in enumerate(streams):
+        arrived = np.bincount(packets["timestamp"], minlength=stop_ts)
+        kept = np.bincount(packets["timestamp"][packets["neuron_id"] < n_input],
+                           minlength=stop_ts)
+        assert steps["packets_in"][lane].tolist() == arrived.tolist()
+        assert steps["integrated"][lane].tolist() == kept.tolist()
+    # walk the blocks as a run does, and strip each lane's offset and pads
+    assert block_ts[-1] == stop_ts and len(offsets) == len(block_ts)
+    assert block_ts[:-1] == sorted(block_ts[:-1]) and offsets[-1] == ids.size
+    got = [[] for _ in streams]
+    b = 0
+    for t in range(stop_ts):
+        while block_ts[b] == t:
+            block = ids[offsets[b]:offsets[b + 1]].reshape(n_lanes, -1)
+            block = block - np.arange(n_lanes)[:, None] * (n_input + 1)
+            assert ((block >= 0) & (block <= n_input)).all()
+            assert (block != n_input).any()
+            for lane, row in enumerate(block.tolist()):
+                run = [i for i in row if i != n_input]
+                # pads only fill up a short row
+                assert row == run + [n_input] * (len(row) - len(run))
+                if run:
+                    got[lane].append((t, run))
+            b += 1
+    assert b == len(block_ts) - 1
+    assert got == want
+
+
+class TestWrapUp:
+    """A run's outputs and step records are built after its last step: at
+    their edges every lane still equals its stream run alone."""
+
+    def check(self, streams, stop_ts):
+        engines = [make_engine(n_input=2, n_exc=3, weights=OVERFLOW_WEIGHTS, w_inh=0.0,
+                               learning=False) for _ in range(2)]
+        got = engines[0].run_lanes(streams, stop_ts)
+        assert_same_runs(got, run_one_by_one(engines[1], streams, stop_ts))
+        assert state_bytes(engines[0]) == state_bytes(engines[1])
+        assert engines[0].steps.tobytes() == engines[1].steps.tobytes()
+        return got
+
+    def test_a_lane_that_never_fires_between_lanes_that_do(self):
+        # input 0 fires all three neurons; the middle lane has no input
+        streams = [packet_array([0], [1]), packet_array([], []), packet_array([0, 0], [2, 4])]
+        got = self.check(streams, 6)
+        assert [r.outputs.size for r in got] == [3, 0, 6]
+        assert got[1].steps["fired"].sum() == 0
+
+    @pytest.mark.parametrize("n_lanes", [1, 3])
+    def test_a_fire_at_the_last_step(self, n_lanes):
+        streams = [packet_array([0], [5 if lane % 2 else 9]) for lane in range(n_lanes)]
+        got = self.check(streams, 10)
+        assert got[0].outputs.timestamp.tolist() == [9, 9, 9]
+        assert got[0].steps["fired"].tolist() == [0] * 9 + [3]
+
+    @pytest.mark.parametrize("case, kwargs", [
+        ("float", {}),
+        ("q8.8", dict(learning=True, accumulate_updates=True)),
+    ], ids=["float-frozen", "fixed-learning"])
+    def test_16_lanes(self, case, kwargs):
+        streams = [stream("messy" if lane % 3 else "grid", lane, 30, 12, 0.6)
+                   for lane in range(16)]
+        engines = [case_engine(case, 12, 6, **kwargs) for _ in range(2)]
+        got = engines[0].run_lanes(streams, 32)
+        assert_same_runs(got, run_one_by_one(engines[1], streams, 32))
+        assert state_bytes(engines[0]) == state_bytes(engines[1])
+        assert all(r.outputs.size for r in got)
+
+    @pytest.mark.parametrize("n_lanes", [1, 4])
+    def test_no_steps(self, n_lanes):
+        got = self.check([packet_array([], [])] * n_lanes, 0)
+        assert all(r.outputs.size == 0 and r.steps.shape == (0,) for r in got)
+        assert all(r.stats.timesteps == 0 for r in got)
+
+    def test_stop_ts_past_the_timestamp_field_raises(self):
+        engine = make_engine(learning=False)
+        before = state_bytes(engine)
+        with pytest.raises(ValueError, match=r"stop_ts must be at most 2\*\*32"):
+            engine.run(packet_array([], []), 2**32 + 1)
+        assert state_bytes(engine) == before
+
+
 # the fixed cases, whose accumulated deltas are int64 sums: they learn in lanes
 LEARNING_CASES = ["q8.8", "q8.8-rest-below-zero", "q3.8-rails"]
 
