@@ -24,11 +24,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import LifParams, TraceParams
 from .encoders import ECG_CLASSES, EncoderParams
 from .numerics import NumericSpec, QFormat
-from .plasticity import StdpParams
-from .topology import TopologyParams
+from .topology import LifParams, StdpParams, TopologyParams, TraceParams
 
 
 STREAM_INIT = 0
@@ -121,7 +119,7 @@ class RunConfig:
                             w_format=QFormat.from_string(self.w_format))
 
     def resolved_v_floor(self) -> float:
-        return -self.v_thresh if self.v_floor is None else self.v_floor
+        return self.lif_params().floor
 
     def resolved_n_classes(self) -> int:
         if self.n_classes > 0:
@@ -195,8 +193,7 @@ def _parse_value(key: str, name: str, text: str):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config(text: str) -> RunConfig:
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,16 +206,16 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         name = _KEY_MAP[key]
         updates[name] = _parse_value(key, name, value)
-    return replace(cfg, **updates)
+    return RunConfig(**updates)
 
 
-def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
+def parse_config_file(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base)
+    return parse_config(text)
 
 
 def canonical_text(cfg: RunConfig) -> str:

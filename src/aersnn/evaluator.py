@@ -139,7 +139,6 @@ def build_engine(cfg: RunConfig, store: StateStore | None = None) -> EventEngine
         cfg.trace_params(),
         cfg.stdp_params(),
         cfg.topology_params(),
-        v_floor=cfg.resolved_v_floor(),
         fifo_capacity=cfg.fifo_capacity,
         accumulate_updates=cfg.batch_size > 1,
     )

@@ -62,15 +62,16 @@ step that does not ascend into consecutive runs of distinct ids, since an
 id repeated within a step must integrate its row as depressed by its
 earlier occurrence. It counts, into one per-step record per lane
 (``STEP_DTYPE``), the packets that arrived, the packets integrated and
-the neurons fired, so no handler counts; ``EngineStats`` holds its column
-sums. Each lane's ``RunResult`` holds both, and the engine keeps the last
-lane's record as ``steps``. That record is all a run keeps per timestep.
-Its plan is one flat array of the lanes' padded ids and, per block of
-them, a step and an offset: the run slices each block as its step comes.
-Beyond these it keeps the fired ids of each step that fires, so a long
-quiet stretch, as in a replayed recording, costs its 24 bytes a step per
-lane. After its last step, it counts the fired neurons of every step at
-once and fills one packet array, whose slices are the lanes' outputs.
+the neurons fired, so no handler counts. Each lane's ``RunResult`` holds
+its record, and sums its columns into ``EngineStats`` when first asked;
+the engine keeps the last lane's record as ``steps``. That record is all
+a run keeps per timestep. Its plan is one flat array of the lanes' padded
+ids and, per block of them, a step and an offset: the run slices each
+block as its step comes. Beyond these it keeps the fired ids of each
+step that fires, so a long quiet stretch, as in a replayed recording,
+costs its 24 bytes a step per lane. After its last step, it counts the
+fired neurons of every step at once and fills one packet array, whose
+slices are the lanes' outputs.
 
 Each phase handles a whole step with array operations, yet equals the
 packet-by-packet, neuron-by-neuron definition above bit for bit, in both
@@ -166,16 +167,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import LifParams, TraceParams
 from .numerics import DecayParams, fold_rank1_raw, fold_work, saturate_raw
-from .plasticity import StdpParams
 from .topology import (
     STORE_ARRAYS,
+    LifParams,
     StateStore,
+    StdpParams,
     TopologyParams,
+    TraceParams,
     atomic_open,
     inhibition_credit,
     queue_inhibition,
@@ -251,14 +254,6 @@ class EngineStats:
     timesteps: int = 0
     idle_steps: int = 0
 
-    @classmethod
-    def from_steps(cls, steps: np.ndarray) -> "EngineStats":
-        """The column sums of a per-step record of ``STEP_DTYPE``."""
-        n_in, n_int = int(steps["packets_in"].sum()), int(steps["integrated"].sum())
-        return cls(packets_in=n_in, packets_integrated=n_int, packets_dropped=n_in - n_int,
-                   packets_out=int(steps["fired"].sum()), timesteps=len(steps),
-                   idle_steps=len(steps) - int(np.count_nonzero(steps["integrated"])))
-
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -266,8 +261,17 @@ class EngineStats:
 @dataclass
 class RunResult:
     outputs: np.recarray
-    stats: EngineStats
     steps: np.ndarray
+
+    @cached_property
+    def stats(self) -> EngineStats:
+        """The column sums of ``steps``, summed when first read."""
+        steps = self.steps
+        n_in, n_int = int(steps["packets_in"].sum()), int(steps["integrated"].sum())
+        return EngineStats(packets_in=n_in, packets_integrated=n_int,
+                           packets_dropped=n_in - n_int, packets_out=int(steps["fired"].sum()),
+                           timesteps=len(steps),
+                           idle_steps=len(steps) - int(np.count_nonzero(steps["integrated"])))
 
 
 def _check_stream(ts: np.ndarray, stop_ts: int) -> None:
@@ -390,7 +394,6 @@ class EventEngine:
         topology: TopologyParams,
         *,
         learning: bool = True,
-        v_floor: float | None = None,
         fifo_capacity: int = 4096,
         accumulate_updates: bool = False,
     ):
@@ -403,7 +406,6 @@ class EventEngine:
         self.stdp = stdp
         self.topology = topology
         self.learning = learning
-        floor = -lif.v_thresh if v_floor is None else float(v_floor)
         self.fifo_capacity = fifo_capacity
         # the per-step record of the last run
         self.steps = np.zeros(0, dtype=STEP_DTYPE)
@@ -415,7 +417,7 @@ class EventEngine:
         # module docstring)
         self._thresh, self._rest, self._floor, self._alpha, self._x_max = (
             np.array(ar.voltage(r), ar.dtype)
-            for r in (lif.v_thresh, lif.v_rest, floor, trace.alpha, trace.x_max))
+            for r in (lif.v_thresh, lif.v_rest, lif.floor, trace.alpha, trace.x_max))
         self._w_min, self._w_max = (np.array(ar.weight(r), ar.dtype)
                                     for r in (stdp.w_min, stdp.w_max))
         self._decay_v = ar.v_factor(DecayParams(tau=lif.tau_v, dt=lif.dt).decay)
@@ -705,7 +707,7 @@ class EventEngine:
         for a, lanes in state:
             a[:] = lanes[-1, :a.size]
         ends = np.cumsum(steps["fired"].sum(axis=1)).tolist()
-        results = [RunResult(outputs=packets[lo:hi], stats=EngineStats.from_steps(rec), steps=rec)
+        results = [RunResult(outputs=packets[lo:hi], steps=rec)
                    for lo, hi, rec in zip([0] + ends, ends, steps)]
         self.steps = results[-1].steps
         return results

@@ -219,9 +219,9 @@ class DecayParams:
         """The per-step multiplier ``dt / tau`` (float64, computed once)."""
         return self.dt / self.tau
 
-    def decay_raw(self, fmt: QFormat = COEF_FORMAT) -> int:
-        """The multiplier quantized to a coefficient mantissa."""
-        return to_fixed(self.decay, fmt).raw
+    def decay_raw(self) -> int:
+        """The multiplier quantized to a ``COEF_FORMAT`` mantissa."""
+        return to_fixed(self.decay, COEF_FORMAT).raw
 
 
 def leak_decay(x, p: DecayParams):

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import LifParams, TraceParams
-from .plasticity import StdpParams
-from .topology import StateStore, TopologyParams
+from .topology import LifParams, StateStore, StdpParams, TopologyParams, TraceParams
 
 
 def dense_simulate(
@@ -56,7 +54,7 @@ def dense_simulate(
     steps = grid.shape[0]
     decay_v = lif.dt / lif.tau_v
     decay_x = trace.dt / trace.tau_x
-    floor = -lif.v_thresh if v_floor is None else float(v_floor)
+    floor = lif.floor if v_floor is None else float(v_floor)
     w = store.w
     v = store.exc_v
     x_exc = store.exc_x

@@ -1,15 +1,36 @@
-"""Network construction and the time-multiplexed state store.
+"""The network model: its parameter bundles, its construction, and the
+time-multiplexed state store.
 
 The topology is a single competitive layer: dense input-to-excitatory
 weights, plus all-but-self lateral inhibition among the excitatory units.
 The inhibitory relays are not simulated as neurons; each excitatory spike
 queues a fixed inhibition amount against every other excitatory neuron,
 and the queued total is subtracted from the voltages at the next leak
-phase. All state lives in flat arrays (float64 values in float mode, int64
-mantissas in fixed mode), mirroring a single shared memory updated by one
-engine at a time. The numeric mode's arithmetic object, held by the store,
-does every mode-dependent operation; only the checkpoint container reads
-the mode itself.
+phase.
+
+Each excitatory neuron is a LIF unit with a membrane voltage ``v`` and an
+activity trace ``x`` (``LifParams``, ``TraceParams``). Per timestep the
+cycle is: integrate incoming weights into ``v``, leak both quantities one
+iterative step (``v`` no lower than the floor), then compare ``v``
+against the threshold. A crossing resets ``v`` hard to the rest level (no
+refractory period) and bumps the trace by ``alpha`` up to the ``x_max``
+ceiling.
+
+The weights learn by trace-based STDP (``StdpParams``): each update reads
+only the local pre- or post-synaptic activity trace, so no spike history
+is stored.
+
+* depression (LTD), applied when the pre-neuron spikes:
+      w' = clamp(w - alpha_post * x_post)
+* potentiation (LTP), applied when the post-neuron spikes:
+      w' = clamp(w + alpha_pre * x_pre)
+
+The event engine applies these rules to whole neuron populations (see
+``event_engine``). All state lives in flat arrays (float64 values in float
+mode, int64 mantissas in fixed mode), mirroring a single shared memory
+updated by one engine at a time. The numeric mode's arithmetic object,
+held by the store, does every mode-dependent operation; only the
+checkpoint container reads the mode itself.
 
 Checkpoint container (version 1, all integers little-endian):
 
@@ -34,8 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NumericSpec, QFormat
-from .plasticity import StdpParams
+from .numerics import DecayParams, NumericSpec, QFormat
 
 
 CHECKPOINT_MAGIC = b"AERN"
@@ -65,6 +85,64 @@ class TopologyParams:
                 raise ValueError(f"{name} must be in [1, {MAX_LAYER_SIZE}], got {size}")
         if self.w_inh < 0:
             raise ValueError(f"w_inh must be >= 0, got {self.w_inh}")
+
+
+@dataclass(frozen=True)
+class LifParams:
+    v_rest: float
+    v_thresh: float
+    tau_v: float
+    dt: float = 1.0
+    v_floor: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.v_thresh <= self.v_rest:
+            raise ValueError(
+                f"v_thresh ({self.v_thresh}) must exceed v_rest ({self.v_rest})"
+            )
+        # Validates tau_v > 0 and dt/tau_v < 1.
+        DecayParams(tau=self.tau_v, dt=self.dt)
+
+    @property
+    def floor(self) -> float:
+        """The lowest voltage a leak leaves: ``v_floor``, or ``-v_thresh``
+        when it is unset."""
+        return -self.v_thresh if self.v_floor is None else float(self.v_floor)
+
+
+@dataclass(frozen=True)
+class TraceParams:
+    tau_x: float
+    alpha: float
+    x_max: float = 10.0
+    dt: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.x_max < self.alpha:
+            raise ValueError(
+                f"x_max ({self.x_max}) must be at least alpha ({self.alpha})"
+            )
+        DecayParams(tau=self.tau_x, dt=self.dt)
+
+
+@dataclass(frozen=True)
+class StdpParams:
+    alpha_pre: float
+    alpha_post: float
+    w_min: float = 0.0
+    w_max: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.alpha_pre <= 0:
+            raise ValueError(f"alpha_pre must be positive, got {self.alpha_pre}")
+        if self.alpha_post <= 0:
+            raise ValueError(f"alpha_post must be positive, got {self.alpha_post}")
+        if self.w_min >= self.w_max:
+            raise ValueError(
+                f"w_min ({self.w_min}) must be below w_max ({self.w_max})"
+            )
 
 
 class StoreArray(namedtuple("StoreArray", "name label layers fmt reset learning_only")):
@@ -169,15 +247,15 @@ def inhibition_credit(store: StateStore, w_inh: float) -> np.ndarray:
 
 
 def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
-                     pending: np.ndarray, k: int | None = None) -> np.ndarray | None:
+                     pending: np.ndarray, k: int | None = None) -> None:
     """Credit ``w_inh`` of pending inhibition to every excitatory neuron
     except the firing one, once per firing neuron of the same lane; the
     next leak phase applies and clears it. ``crossed`` is the ``(lanes,
     n_exc)`` mask of the firing neurons, ``pending`` the lanes' pending
     inhibition and ``credit`` ``inhibition_credit(store, w_inh)``. A
     caller that knows a lone lane's firing count passes it as ``k``, which
-    saves counting ``crossed`` by a casting reduction; otherwise the
-    ``(lanes, 1)`` counts are counted and returned.
+    saves counting ``crossed`` by a casting reduction; otherwise it counts
+    each lane's firings.
 
     Closed form of the per-neuron loop: with k distinct neurons firing in a
     lane, every other neuron of the lane is credited k times and each
@@ -187,12 +265,10 @@ def queue_inhibition(store: StateStore, crossed: np.ndarray, credit: np.ndarray,
     inhibition yet, which is so at fire time, right after the leak cleared
     it.
     """
-    counts = None
     if k is None:
-        k = counts = np.add.reduce(crossed, axis=1, keepdims=True, dtype=np.intp)
+        k = np.add.reduce(crossed, axis=1, keepdims=True, dtype=np.intp)
     pending += credit[k - crossed]
     store.arith.saturate_v(pending)
-    return counts
 
 
 def reset_for_sample(store: StateStore) -> None:

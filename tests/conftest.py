@@ -1,11 +1,9 @@
 import numpy as np
 from hypothesis import settings
 
-from aersnn.dynamics import LifParams, TraceParams
 from aersnn.event_engine import EventEngine, packet_array
 from aersnn.numerics import NumericSpec
-from aersnn.plasticity import StdpParams
-from aersnn.topology import TopologyParams, build_network
+from aersnn.topology import LifParams, StdpParams, TopologyParams, TraceParams, build_network
 
 # one profile for every test: no per-example deadline, as timings vary from
 # host to host, and examples drawn from a hash of each test, so every run

@@ -132,6 +132,23 @@ class TestTrain:
         store, _, _ = load_store(tmp / "frozen" / "checkpoint.aern")
         assert store.w.tobytes() == loaded.w.tobytes()
 
+    def test_numeric_mode_flag_trains_a_fixed_checkpoint(self, workspace):
+        # the flag overrides the float config: the checkpoint is fixed-mode
+        # and carries the hash of the config as run
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run_cli("train", "--config", cfg, "--out", out, "--numeric-mode", "fixed") == 0
+        from aersnn.config import config_hash, parse_config_file
+
+        fixed_hash = config_hash(parse_config_file(cfg).with_value("mode", "fixed"))
+        data = (out / "checkpoint.aern").read_bytes()
+        # the mode byte follows magic, version, sizes and the two formats
+        assert data[struct.calcsize("<4sHIIBBBB")] == 1
+        store, _, digest = load_store(out / "checkpoint.aern")
+        assert store.numeric.is_fixed
+        assert digest == bytes.fromhex(fixed_hash)
+        assert read_jsonl(out / "metrics.jsonl")[0]["config_hash"] == fixed_hash
+
     def test_missing_dataset_is_exit_2(self, workspace):
         tmp, cfg = workspace
         bad = tmp / "bad.cfg"
@@ -320,6 +337,23 @@ class TestEncode:
         packets = read_aer_file(enc / "trace.aer")
         result = engine.run(packets, stop_ts=int(packets.timestamp.max()) + 1)
         assert np.array_equal(read_aer_file(rp / "replay_output.aer"), result.outputs)
+
+    def test_replay_logs_three_activation_lines_per_step(self, workspace):
+        tmp, cfg = workspace
+        out, enc = tmp / "out", tmp / "enc"
+        assert run_cli("train", "--config", cfg, "--out", out) == 0
+        assert run_cli("encode", "--config", cfg, "--out", enc) == 0
+        replay_cfg = tmp / "replay.cfg"
+        replay_cfg.write_text(cfg.read_text() + "engine.log_activations = true\n"
+                              f"data.aer_trace = {enc / 'trace.aer'}\n")
+        rp = tmp / "replay"
+        assert run_cli("eval", "--config", replay_cfg, "--out", rp,
+                       "--checkpoint", out / "checkpoint.aern", "--no-learning") == 0
+        steps = int(read_aer_file(enc / "trace.aer").timestamp.max()) + 1
+        lines = (rp / "activations.csv").read_text().splitlines()
+        assert len(lines) == 3 * steps
+        assert [line.split(",")[:2] for line in lines[-3:]] == [
+            [str(steps - 1), phase] for phase in ("integrate", "leak", "fire")]
 
     def test_learning_replay_learns_at_any_batch_size(self, workspace):
         # a replay is one stream: it learns into the live weights, so
@@ -685,6 +719,27 @@ REJECTED_UP_FRONT = {
         tmp, cfg, "engine.fifo_capacity = 0\n"),
     "train-n-classes-negative": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "data.n_classes = -1\n"),
+    "train-label-fraction-one": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "train.label_fraction = 1\n"),
+    "train-test-fraction-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "data.test_fraction = 0\n"),
+    "train-samples-minus-two": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "train.samples = -2\n"),
+    "train-log-activations-maybe": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "engine.log_activations = maybe\n"),
+    # each parameter bundle checks its own fields
+    "train-trace-alpha-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "trace.alpha = 0\n"),
+    "train-stdp-alpha-pre-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "stdp.alpha_pre = 0\n"),
+    "train-stdp-alpha-post-zero": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "stdp.alpha_post = 0\n"),
+    "train-stdp-w-min-at-w-max": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "stdp.w_min = 1\n"),
+    "train-w-inh-negative": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "topology.w_inh = -1\n"),
+    "sweep-n-exc-word": _sweep("n_exc", "4,many"),
+    "sweep-no-values": _sweep("n_exc", ","),
     # a zero time constant has no decay factor
     "train-tau-v-zero": lambda tmp, cfg: _train_with_config(tmp, cfg, "lif.tau_v = 0\n"),
     "train-tau-x-zero": lambda tmp, cfg: _train_with_config(tmp, cfg, "trace.tau_x = 0\n"),
@@ -725,6 +780,19 @@ UP_FRONT_LINES = {
     "train-tau-x-zero": "error: tau must be positive, got 0.0",
     "train-v-format-three-parts": "error: bad Q-format descriptor 'q2.14.5': "
                                   "invalid literal for int() with base 10: '14.5'",
+    "train-label-fraction-one": "error: label_fraction must be in (0, 1), got 1.0",
+    "train-test-fraction-zero": "error: test_fraction must be in (0, 1), got 0.0",
+    "train-samples-minus-two": "error: train_samples must be >= -1 (-1 means the whole split)",
+    "train-log-activations-maybe": "error: bad value for engine.log_activations: "
+                                   "expected a boolean, got 'maybe'",
+    "train-trace-alpha-zero": "error: alpha must be positive, got 0.0",
+    "train-stdp-alpha-pre-zero": "error: alpha_pre must be positive, got 0.0",
+    "train-stdp-alpha-post-zero": "error: alpha_post must be positive, got 0.0",
+    "train-stdp-w-min-at-w-max": "error: w_min (1.0) must be below w_max (1.0)",
+    "train-w-inh-negative": "error: w_inh must be >= 0, got -1.0",
+    "sweep-n-exc-word": "error: bad sweep values '4,many': "
+                        "could not convert string to float: 'many'",
+    "sweep-no-values": "error: sweep needs at least one value",
 }
 
 

@@ -3,12 +3,13 @@ time: integrate adds weight rows, leak decays voltages toward rest and
 traces toward zero, fire resets and bumps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aersnn.dynamics import LifParams, TraceParams
+from aersnn.topology import LifParams, TraceParams
 
 from conftest import make_engine
 
@@ -16,10 +17,10 @@ LIF = LifParams(v_rest=0.0, v_thresh=1.0, tau_v=100.0, dt=1.0)
 TRACE = TraceParams(tau_x=4.0, alpha=1.0, x_max=10.0, dt=1.0)
 
 
-def neuron(v=0.0, x=0.0, *, trace=TRACE, weights=((0.0,),), **kwargs):
+def neuron(v=0.0, x=0.0, *, lif=LIF, trace=TRACE, weights=((0.0,),), **kwargs):
     """An engine around one excitatory neuron with voltage ``v`` and
     trace ``x``, fed by one input per row of ``weights``."""
-    eng = make_engine(n_input=len(weights), n_exc=1, lif=LIF, trace=trace,
+    eng = make_engine(n_input=len(weights), n_exc=1, lif=lif, trace=trace,
                       weights=weights, **kwargs)
     eng.store.exc_v[:] = v
     eng.store.exc_x[:] = x
@@ -84,7 +85,7 @@ class TestLeakState:
         if abs(v - LIF.v_rest) < 1e-9:
             return
         # a floor below every drawn voltage, so only the decay acts
-        eng = neuron(v=v, v_floor=-100.0)
+        eng = neuron(v=v, lif=replace(LIF, v_floor=-100.0))
         eng.leak_handler()
         assert abs(eng.store.exc_v[0] - LIF.v_rest) < abs(v - LIF.v_rest)
 

@@ -20,10 +20,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from aersnn.dynamics import LifParams
 from aersnn.event_engine import packet_array
 from aersnn.numerics import NumericSpec, QFormat
-from aersnn.topology import store_to_bytes
+from aersnn.topology import LifParams, store_to_bytes
 
 from conftest import make_engine
 

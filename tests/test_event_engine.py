@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from aersnn.numerics import NumericSpec
 from aersnn.topology import TopologyParams, build_network
 
 from conftest import (
+    DEFAULT_LIF,
     GAPPED_FIRED_SETS,
     STILL_LIF,
     STILL_TRACE,
@@ -159,7 +161,7 @@ class TestLeakHandler:
         assert np.all(eng.store.pending == 0.0)
 
     def test_floor_clamps_undershoot(self):
-        eng = make_engine(v_floor=-0.2)
+        eng = make_engine(lif=replace(DEFAULT_LIF, v_floor=-0.2))
         eng.store.exc_v[:] = 0.1
         eng.store.pending[:] = 0.5
         eng.leak_handler()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from aersnn import evaluator, event_engine
 from aersnn.config import RunConfig
-from aersnn.dynamics import LifParams
 from aersnn.encoders import ECG_FEATURES, Sample, load_ecg_beats
 from aersnn.event_engine import (
     RECORD_ROWS,
@@ -23,9 +22,8 @@ from aersnn.event_engine import (
 )
 from aersnn.evaluator import LANES, assign_labels, build_engine, evaluate, train_pass
 from aersnn.numerics import DecayParams, Fixed, fixed_sub, leak_toward
-from aersnn.plasticity import StdpParams
 from aersnn.reference_sim import dense_simulate
-from aersnn.topology import STORE_ARRAYS, store_to_bytes
+from aersnn.topology import STORE_ARRAYS, LifParams, StdpParams, store_to_bytes
 
 from conftest import four_class_beats, grid_to_packets, make_engine, write_beat_csv
 from oracles import run_one_by_one, step_by_handlers, train_one_by_one

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aersnn.dynamics import TraceParams
 from aersnn.numerics import DecayParams
-from aersnn.plasticity import StdpParams
+from aersnn.topology import StdpParams, TraceParams
 
 from conftest import DEFAULT_LIF, make_engine
 from oracles import PairStdpParams, SpikeTrain, pair_stdp_delta

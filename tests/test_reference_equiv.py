@@ -1,15 +1,17 @@
 """Event-driven engine vs dense reference: bit-for-bit agreement in float
 mode over randomized networks, inputs, and parameters."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from aersnn.dynamics import LifParams, TraceParams
+from aersnn import reference_sim
 from aersnn.event_engine import EventEngine
 from aersnn.numerics import NumericSpec
-from aersnn.plasticity import StdpParams
 from aersnn.reference_sim import dense_simulate
-from aersnn.topology import TopologyParams, build_network
+from aersnn.topology import LifParams, StdpParams, TopologyParams, TraceParams, build_network
 
 from conftest import GAPPED_FIRED_SETS, grid_to_packets, make_engine
 
@@ -339,3 +341,18 @@ class TestEngineMatchesDense:
                                   engine.stdp.w_min, engine.stdp.w_max)
         assert store.w.tobytes() == want.tobytes()
         assert store.w.max() == engine.stdp.w_max
+
+
+def test_the_oracle_imports_nothing_of_the_engine():
+    # an oracle that ran engine code could share its faults
+    tree = ast.parse(Path(reference_sim.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["aersnn" if node.level else "", node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "aersnn.topology" in names
+    assert not [name for name in names if name.split(".")[:2] == ["aersnn", "event_engine"]]
