@@ -100,6 +100,12 @@ class LifParams:
             raise ValueError(
                 f"v_thresh ({self.v_thresh}) must exceed v_rest ({self.v_rest})"
             )
+        # a leak lifts every voltage to a floor above rest, past the
+        # threshold when it sits there too
+        if self.v_floor is not None and self.v_floor > self.v_rest:
+            raise ValueError(
+                f"v_floor ({self.v_floor}) must not exceed v_rest ({self.v_rest})"
+            )
         # Validates tau_v > 0 and dt/tau_v < 1.
         DecayParams(tau=self.tau_v, dt=self.dt)
 

@@ -1,5 +1,6 @@
 """Test-only oracles: closed-form references the engine's iterative
-update rules are checked against, the one-stream-at-a-time references
+update rules are checked against, the one-grid reference for the
+encoder's row blocks, the one-stream-at-a-time references
 for the engine's lanes and for the training pass that runs them, and a
 per-class loop for the classifier. Nothing in ``aersnn`` calls them."""
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from aersnn.config import STREAM_TRAIN, derive_seed
 from aersnn.encoders import poisson_encode
-from aersnn.event_engine import _plan_lanes
+from aersnn.event_engine import _plan_lanes, packet_array
 from aersnn.topology import reset_for_sample
 
 
@@ -68,6 +69,16 @@ def exp_decay_reference(x0: float, t: float, tau: float) -> float:
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return x0 * math.exp(-t / tau)
+
+
+def one_grid_encode(features, timesteps: int, max_rate: float, seed: int) -> np.recarray:
+    """Reference for ``encoders.poisson_encode``: the sample's whole
+    ``(timesteps, n)`` grid drawn in one call, compared against the firing
+    probabilities, its spikes in row-major order."""
+    features = np.asarray(features, dtype=np.float64)
+    grid = np.random.default_rng(seed).random((timesteps, features.size)) < features * max_rate
+    ts, ids = np.divmod(np.flatnonzero(grid), features.size)
+    return packet_array(ids, ts)
 
 
 def run_one_by_one(engine, streams, stop_ts: int) -> list:

@@ -715,6 +715,10 @@ REJECTED_UP_FRONT = {
     "train-v-thresh-nan": lambda tmp, cfg: _train_with_config(tmp, cfg, "lif.v_thresh = nan\n"),
     "train-v-floor-minus-inf": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "engine.v_floor = -inf\n"),
+    # a floor above rest, here above the threshold too, fires every neuron
+    # at every step of an empty stream
+    "train-v-floor-above-rest": lambda tmp, cfg: _train_with_config(
+        tmp, cfg, "engine.v_floor = 20\n"),
     "train-fifo-capacity-zero": lambda tmp, cfg: _train_with_config(
         tmp, cfg, "engine.fifo_capacity = 0\n"),
     "train-n-classes-negative": lambda tmp, cfg: _train_with_config(
@@ -790,6 +794,7 @@ UP_FRONT_LINES = {
     "train-stdp-alpha-post-zero": "error: alpha_post must be positive, got 0.0",
     "train-stdp-w-min-at-w-max": "error: w_min (1.0) must be below w_max (1.0)",
     "train-w-inh-negative": "error: w_inh must be >= 0, got -1.0",
+    "train-v-floor-above-rest": "error: v_floor (20.0) must not exceed v_rest (0.0)",
     "sweep-n-exc-word": "error: bad sweep values '4,many': "
                         "could not convert string to float: 'many'",
     "sweep-no-values": "error: sweep needs at least one value",

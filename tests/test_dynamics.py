@@ -36,6 +36,11 @@ class TestParams:
         with pytest.raises(ValueError):
             LifParams(v_rest=0.0, v_thresh=0.0, tau_v=10.0)
 
+    def test_floor_must_not_exceed_rest(self):
+        with pytest.raises(ValueError, match="v_floor"):
+            LifParams(v_rest=0.0, v_thresh=1.0, tau_v=10.0, v_floor=0.5)
+        assert LifParams(v_rest=0.25, v_thresh=1.0, tau_v=10.0, v_floor=0.25).floor == 0.25
+
     def test_trace_ceiling_must_cover_increment(self):
         with pytest.raises(ValueError):
             TraceParams(tau_x=4.0, alpha=2.0, x_max=1.0)
