@@ -1,22 +1,27 @@
 """Rate encoders and dataset ingestion.
 
 Raw samples become AER packet streams by per-timestep Bernoulli draws:
-input neuron i fires at step t with probability ``features[i] * max_rate``,
-independently per step, from a seeded generator. That is the standard
-discrete-time realization of Poisson rate coding, and it is the one
-mechanism used for both image and heartbeat data (heartbeats default to a
-100-step window).
+input neuron i fires at step t with probability about
+``features[i] * max_rate``, independently per step, from a seeded
+generator. That is the standard discrete-time realization of Poisson rate
+coding, and it is the one mechanism used for both image and heartbeat data
+(heartbeats default to a 100-step window).
 
-The stream contract: a sample of n inputs encoded over T steps takes one
-float64 draw per (step, input), T * n in all, in row-major order (step by
-step, input by input) from ``default_rng(seed)``, and input i fires at
-step t when its draw is below ``features[i] * max_rate``. A large sample
-draws its ``(T, n)`` grid in row blocks, one per CPU, the blocks past the
-first on helper threads (numpy's draws and compares release the GIL).
-``Generator.random`` takes exactly one 64-bit PCG64 output per float64,
-so the block from row r on seeds its own PCG64 with the sample's seed and
-``advance``s it by r * n outputs: each block draws the same numbers as
-the one-grid stream, and the packets are byte-identical to it.
+The draw is a 16-bit comparator, as a hardware rate encoder makes it: a
+pseudo-random word per (step, input) compared with the input's quantized
+rate. ``PAPER.md`` holds only the paper's abstract, which does not describe
+the paper's own encoder; this one follows common hardware practice, not a
+design the paper states.
+
+The stream contract: a sample of n inputs encoded over T steps takes
+T * n draws in row-major order (step by step, input by input). Draw k is
+little-endian ``uint16`` number k of the raw 64-bit outputs of
+``np.random.PCG64(seed).random_raw(ceil(T * n / 4))``, that is
+``(raw[k // 4] >> (16 * (k % 4))) & 0xFFFF`` whatever the host's byte
+order. Input i fires at step t when its draw is below the threshold
+``floor(features[i] * max_rate * 2**16)`` (the product by 2**16 is exact).
+So a rate r fires with probability ``floor(r * 2**16) / 2**16``: a rate
+below 2**-16 never fires, and a rate of exactly 1 fires at every step.
 
 Dataset loaders:
 
@@ -35,9 +40,7 @@ from __future__ import annotations
 
 import gzip
 import math
-import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,13 +56,8 @@ ECG_CLASSES = 4
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# Fewest draws one row block of a sample's grid may hold. On a 2-core
-# x86_64 host, two blocks broke even with one between about 60,000 and
-# 80,000 draws a sample (0.86-1.13x as fast there, 0.67x at 51,200 and
-# 1.45x at 102,400). At this minimum a split sample holds at least 131,072
-# draws (131,100 ran 1.55x as fast, a 350 x 784 digit 1.73x), and a
-# 100 x 251 heartbeat (25,100 draws) is never split.
-_MIN_BLOCK_DRAWS = 1 << 16
+# the draws are 16-bit words: a threshold of this fires at every step
+DRAW_SPAN = 1 << 16
 
 
 class EncodingError(ValueError):
@@ -101,111 +99,28 @@ def poisson_encode(sample: Sample, p: EncoderParams) -> np.recarray:
     # written so that NaN, which compares false, fails it
     if features.size and not (features.min() >= 0.0 and features.max() <= 1.0):
         raise EncodingError("features must lie in [0, 1]")
-    # flat indices ascend in row-major order: by timestamp, then id
-    ts, ids = np.divmod(_spike_indices(features * p.max_rate, p.timesteps, p.seed),
-                        features.size)
-    return packet_array(ids, ts)
+    n = features.size
+    thresh = np.floor(features * p.max_rate * DRAW_SPAN)
+    words = np.random.PCG64(p.seed).random_raw(-(-p.timesteps * n // 4))
+    draws = _draws(words)[:p.timesteps * n].reshape(p.timesteps, n)
+    # a uint16 compare took a third of an int32 one's time on a 350 x 784
+    # digit; a full-rate input's threshold does not fit, so its column is set
+    grid = draws < np.minimum(thresh, DRAW_SPAN - 1).astype(np.uint16)
+    full = thresh == DRAW_SPAN
+    if full.any():
+        grid[:, full] = True
+    # flat indices ascend in row-major order: by timestamp, then id; a
+    # search for each row's first index splits them cheaper than divmod
+    flat = np.flatnonzero(grid)
+    starts = np.searchsorted(flat, np.arange(p.timesteps + 1) * n)
+    ts = np.repeat(np.arange(p.timesteps), np.diff(starts))
+    return packet_array(flat - ts * n, ts)
 
 
-def _spike_indices(thresh: np.ndarray, timesteps: int, seed: int) -> np.ndarray:
-    """Flat indices of the spikes of a ``(timesteps, n)`` grid drawn in row
-    blocks: the first here, the others on the helper threads. The draws are
-    freed on return, before the caller splits the indices."""
-    draws = np.empty((timesteps, thresh.size))
-    grid = np.empty(draws.shape, dtype=bool)
-    bounds = _row_blocks(timesteps, thresh.size)
-    blocks = [(seed, thresh, draws, grid, start, stop)
-              for start, stop in zip(bounds, bounds[1:])]
-    if len(blocks) == 1:
-        return _encode_rows(*blocks[0])
-    replies = _start_blocks(blocks[1:])
-    flat = _encode_rows(*blocks[0])
-    later = [reply.get() for reply in replies]
-    for got in later:
-        if isinstance(got, BaseException):
-            raise got
-    return np.concatenate([flat] + later)
-
-
-def _row_blocks(timesteps: int, n: int) -> list[int]:
-    """Row bounds of a ``(timesteps, n)`` grid cut into one block per CPU,
-    fewer where a block would hold under ``_MIN_BLOCK_DRAWS`` draws."""
-    min_rows = -(-_MIN_BLOCK_DRAWS // max(n, 1))
-    parts = max(1, min(_cpu_count(), timesteps // min_rows))
-    return [timesteps * k // parts for k in range(parts + 1)]
-
-
-def _encode_rows(seed: int, thresh: np.ndarray, draws: np.ndarray, grid: np.ndarray,
-                 start: int, stop: int) -> np.ndarray:
-    """Fill rows ``start:stop`` of ``draws`` and ``grid`` and return the flat
-    grid indices of their spikes. The rows draw from the sample's stream
-    advanced past the ``start * n`` draws of the rows before them."""
-    offset = start * thresh.size
-    bits = np.random.PCG64(seed)
-    if offset:
-        bits.advance(offset)
-    rows = slice(start, stop)
-    np.random.Generator(bits).random(out=draws[rows])
-    np.less(draws[rows], thresh, out=grid[rows])
-    flat = np.flatnonzero(grid[rows])
-    if offset:
-        flat += offset
-    return flat
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_jobs = None  # the helper threads' job queue, once a sample has split
-_jobs_lock = threading.Lock()
-
-
-def _start_blocks(blocks: list[tuple]) -> list:
-    """Queue ``_encode_rows`` argument tuples for the helper threads and
-    return one reply queue per block, on which its flat indices (or the
-    exception it raised) arrive. The helpers start on the first sample
-    that splits and serve every later one. ``queue`` is imported only then,
-    and ``concurrent.futures`` not at all: its import takes about 10 ms
-    and 0.6 MB of peak RSS."""
-    global _jobs
-    from queue import SimpleQueue
-    with _jobs_lock:
-        if _jobs is None:
-            _jobs = SimpleQueue()
-            for _ in range(max(1, _cpu_count() - 1)):
-                threading.Thread(target=_serve, args=(_jobs,), name="aersnn-encode",
-                                 daemon=True).start()
-        jobs = _jobs
-    replies = [SimpleQueue() for _ in blocks]
-    for block, reply in zip(blocks, replies):
-        jobs.put((block, reply))
-    return replies
-
-
-def _serve(jobs) -> None:
-    while True:
-        block, reply = jobs.get()
-        try:
-            reply.put(_encode_rows(*block))
-        except BaseException as exc:  # raised again in the caller, which waits on it
-            reply.put(exc)
-        # waiting for the next job, hold none of this sample's arrays
-        del block, reply
-
-
-def _forget_helpers() -> None:
-    # a forked child holds none of its parent's threads, and may hold the
-    # lock as another parent thread left it
-    global _jobs, _jobs_lock
-    _jobs, _jobs_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
+def _draws(words: np.ndarray) -> np.ndarray:
+    """The 16-bit draws of raw 64-bit generator outputs, four per output,
+    the low bits first whatever the host's byte order."""
+    return words.astype("<u8", copy=False).view("<u2")
 
 
 def _open_maybe_gzip(path: Path):

@@ -358,11 +358,11 @@ def store_from_bytes(data: bytes) -> tuple[StateStore, int, bytes]:
             i = np.flatnonzero(~((part >= lo) & (part <= hi)))[0]
             why = f"outside the {fmt} range [{lo}, {hi}]" if numeric.is_fixed else "not finite"
             raise CheckpointError(f"{row.label}[{i}] = {part[i]} is {why}")
-        # the store takes a copy of each decoded array: keeping the decoded
-        # weights themselves measured 0.7-1.8 MB (up to 4.4%) more
-        # trace_replay peak RSS, decoding them straight into the store's
-        # fresh array 0.8-1.3 MB more
-        setattr(store, row.name, part.astype(store.arith.dtype).reshape(a.shape).copy())
+        # the store takes one copy of each decoded array (``astype``
+        # copies), which owns its memory: keeping views of ``data`` measured
+        # 0.7-1.8 MB (up to 4.4%) more trace_replay peak RSS, decoding them
+        # straight into the store's fresh array 0.8-1.3 MB more
+        setattr(store, row.name, part.reshape(a.shape).astype(store.arith.dtype))
     return store, seed, digest
 
 

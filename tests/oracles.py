@@ -1,6 +1,6 @@
 """Test-only oracles: closed-form references the engine's iterative
-update rules are checked against, the one-grid reference for the
-encoder's row blocks, the one-stream-at-a-time references
+update rules are checked against, a draw-at-a-time reference for the
+encoder's 16-bit comparator, the one-stream-at-a-time references
 for the engine's lanes and for the training pass that runs them, and a
 per-class loop for the classifier. Nothing in ``aersnn`` calls them."""
 
@@ -71,14 +71,25 @@ def exp_decay_reference(x0: float, t: float, tau: float) -> float:
     return x0 * math.exp(-t / tau)
 
 
-def one_grid_encode(features, timesteps: int, max_rate: float, seed: int) -> np.recarray:
-    """Reference for ``encoders.poisson_encode``: the sample's whole
-    ``(timesteps, n)`` grid drawn in one call, compared against the firing
-    probabilities, its spikes in row-major order."""
-    features = np.asarray(features, dtype=np.float64)
-    grid = np.random.default_rng(seed).random((timesteps, features.size)) < features * max_rate
-    ts, ids = np.divmod(np.flatnonzero(grid), features.size)
-    return packet_array(ids, ts)
+def comparator_encode(features, timesteps: int, max_rate: float, seed: int) -> np.recarray:
+    """Reference for ``encoders.poisson_encode``, one draw at a time in
+    Python integers. The draws come from ``Generator.bytes``, which packs
+    the generator's 64-bit outputs little-endian (as 32-bit halves, the low
+    half first), not from ``random_raw``: draw k is the little-endian
+    16-bit number at byte 2k, and input i fires at step t when draw
+    ``t * n + i`` is below ``floor(features[i] * max_rate * 2**16)``."""
+    features = [float(f) for f in features]
+    n = len(features)
+    thresholds = [math.floor(f * max_rate * 2**16) for f in features]
+    stream = np.random.Generator(np.random.PCG64(seed)).bytes(2 * timesteps * n)
+    ids, ts = [], []
+    for t in range(timesteps):
+        for i in range(n):
+            k = 2 * (t * n + i)
+            if int.from_bytes(stream[k:k + 2], "little") < thresholds[i]:
+                ids.append(i)
+                ts.append(t)
+    return packet_array(np.array(ids, dtype=np.int64), np.array(ts, dtype=np.int64))
 
 
 def run_one_by_one(engine, streams, stop_ts: int) -> list:

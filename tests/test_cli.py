@@ -857,12 +857,14 @@ def test_digit_width_comes_from_the_data(tmp_path, capsys):
 # sha256 of the artifacts of train on 20 test samples, so that label and eval
 # run frozen samples in lanes of 16 and 4; recorded from the engine that ran
 # one sample per call. Removing the text trace's key changed only the config
-# hash the artifacts embed (here and in the two tables below)
+# hash the artifacts embed (here and in the two tables below). The 16-bit
+# comparator encoder moved every artifact here and in the next table but
+# labels.json
 LANE_TRAIN_DIGESTS = {
-    "activations.csv": "ec52b644177c591fe09a645a6d7f1b8ce0f6f09f212672bb09c9652c50cde5e8",
-    "checkpoint.aern": "3359dfe26afea480c9529499810edc46f39bc68365db0e81a010d668023bb5ae",
+    "activations.csv": "a0ad29d4aeea4716b7fafc55661cd3dd99763eab797206bddc87a377119ba0d4",
+    "checkpoint.aern": "16f1c7f3442c1bac2841d477d458ce2b3da4278627911e4ded06c6b69ec6a42d",
     "labels.json": "86f4a443be40140a63bfd40ba49665b050afa8b852c3ebd89fcff7a4e0e0a6d1",
-    "metrics.jsonl": "59050c0ad94ab2772ddea42559a22392a8dfd2be1ab3af3780e3b1810a07f548",
+    "metrics.jsonl": "9cf60fd4c64fbcbacf44c471ecf0b56e26d2a48192bdf33a7b1618ead8fae17f",
 }
 
 
@@ -884,10 +886,10 @@ def test_train_artifacts_keep_their_bytes(tmp_path, monkeypatch):
 # in batches of 5 (5, 5 and a partial 2), with the rest below zero;
 # recorded from the engine that trained one sample per call
 FIXED_BATCH_TRAIN_DIGESTS = {
-    "activations.csv": "e812796d05a5ae1f539b71400462827c8a13a32331dea3b5e1a2ef5f2090a4f4",
-    "checkpoint.aern": "f7eeff2ba736c78836caceff024b74bfeec97fc7d058a70411a95e7cf10eb0d8",
+    "activations.csv": "db61feb49ae35baac7fe2afa2734365b4b1d49b0764d411211dab5329955fa1a",
+    "checkpoint.aern": "ec3ee126858dba5796965cf2aec31e85f1a09d6e5cc36a751a96c631a0f21c77",
     "labels.json": "10680056259148ae79441a01861e690c3629069e2e8846c2f383e331ffb44c3b",
-    "metrics.jsonl": "b6c202d828a3c136106c64f6d88f940435c665bac62182013e725f8bf1659ee7",
+    "metrics.jsonl": "a3b654676940642def99e902c0be0bdcf2715376c02ecf49e309545fe97e7f19",
 }
 
 

@@ -4,12 +4,8 @@ import math
 import os
 import re
 import shutil
-import signal
 import subprocess
 import sys
-import threading
-import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +31,7 @@ from conftest import (
     write_beat_csv,
     write_idx_labels,
 )
-from oracles import one_grid_encode
+from oracles import comparator_encode
 
 
 class TestEncoderParams:
@@ -116,11 +112,11 @@ def synthetic_digit():
 
 
 # (max_rate, seed): packet count and sha256 of the packets of
-# synthetic_digit() at 350 steps, recorded from the encoder that drew the
-# whole grid in one call
+# synthetic_digit() at 350 steps, recorded from the 16-bit comparator
+# encoder
 PAPER_SCALE_PINS = {
-    (0.25, 12384): (5769, "f801c49f032a09911871c1e5805a79f89726e132bc367384c6762186ef3df413"),
-    (1.0, 5): (23160, "55abecd72d59c9ef4cc3038f1967ef98079ad2cb1e0c65bcc28e1c1dbaa34583"),
+    (0.25, 12384): (5827, "f6ca54aa9da2ff391bd0015f918cc22d876168d8f16dab2845885935cce71afc"),
+    (1.0, 5): (23121, "11979ddad59dd22a4357e42bf0721745364e36c2fe38d69171fe988956b126d4"),
 }
 
 
@@ -139,137 +135,69 @@ def encodings(draw):
     return features, timesteps, max_rate, draw(st.integers(0, 2**64 - 1))
 
 
-class TestRowBlocks:
-    """A large sample's grid is drawn in row blocks, on as many threads;
-    the packets are those of the one-grid draw."""
+class TestComparatorStream:
+    """Draw k of a sample's stream is the k-th little-endian 16-bit word of
+    its PCG64's raw outputs; an input fires below its 16-bit threshold."""
 
-    @pytest.mark.parametrize("cpus, timesteps, n, bounds", [
-        (2, 350, 784, [0, 175, 350]),
-        (3, 350, 784, [0, 116, 233, 350]),
-        # blocks of at least 84 rows of 784 draws: four at most
-        (8, 350, 784, [0, 87, 175, 262, 350]),
-        (1, 350, 784, [0, 350]),
-        (2, 100, 251, [0, 100]),
-        (2, 1, 10**6, [0, 1]),
-        (2, 10, 0, [0, 10]),
-    ])
-    def test_one_block_per_cpu_none_under_the_minimum(self, monkeypatch, cpus, timesteps, n,
-                                                        bounds):
-        monkeypatch.setattr(encoders, "_cpu_count", lambda: cpus)
-        assert encoders._row_blocks(timesteps, n) == bounds
-        if len(bounds) > 2:
-            assert min(np.diff(bounds)) * n >= encoders._MIN_BLOCK_DRAWS
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("min_draws", [1, 64, encoders._MIN_BLOCK_DRAWS])
-    @settings(max_examples=25)
+    @settings(max_examples=60)
     @given(case=encodings())
-    def test_blocks_reproduce_the_one_grid_stream(self, min_draws, cpus, case):
+    def test_matches_the_draw_at_a_time_reference(self, case):
         features, timesteps, max_rate, seed = case
-        want = one_grid_encode(features, timesteps, max_rate, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoders, "_MIN_BLOCK_DRAWS", min_draws)
-            mp.setattr(encoders, "_cpu_count", lambda: cpus)
-            got = poisson_encode(Sample(features=features, label=0),
-                                 EncoderParams(timesteps, max_rate, seed))
+        want = comparator_encode(features, timesteps, max_rate, seed)
+        got = poisson_encode(Sample(features=features, label=0),
+                             EncoderParams(timesteps, max_rate, seed))
         assert got.tobytes() == want.tobytes()
 
-    # the CLI and engine pins run samples too small to split
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_draw_k_is_little_endian_word_k_of_the_raw_outputs(self):
+        raw = np.random.PCG64(31).random_raw(5)
+        want = [(int(raw[k // 4]) >> (16 * (k % 4))) & 0xFFFF for k in range(20)]
+        assert encoders._draws(raw).tolist() == want
+        # the same outputs held big-endian, as on a big-endian host
+        assert encoders._draws(raw.astype(">u8")).tolist() == want
+
+    def test_inputs_fire_where_their_draws_are_below_their_thresholds(self):
+        # thresholds 0, 1, 2**15, 2**16 - 1 and 2**16 at max_rate 1: the
+        # first never fires and the last always. This stream holds each edge
+        # draw: 0 for inputs 0 and 1, 0xFFFF and 0xFFFE for input 3, 0xFFFF
+        # for input 4
+        steps = 1 << 16
+        raw = np.random.PCG64(19).random_raw(steps * 5 // 4)
+        draws = np.stack([(raw >> np.uint64(16 * j)) & np.uint64(0xFFFF) for j in range(4)],
+                         axis=1).reshape(steps, 5)
+        edges = [(0, 0), (1, 0), (3, 0xFFFF), (3, 0xFFFE), (4, 0xFFFF)]
+        assert [int((draws[:, i] == d).sum()) for i, d in edges] == [1, 1, 1, 2, 2]
+        features = np.array([0.999 * 2.0**-16, 2.0**-16, 0.5, 1.0 - 2.0**-16, 1.0])
+        packets = poisson_encode(Sample(features=features, label=0),
+                                 EncoderParams(steps, 1.0, seed=19))
+        fired = np.zeros((steps, 5), dtype=bool)
+        fired[packets.timestamp, packets.neuron_id] = True
+        assert np.array_equal(fired, draws < np.array([0, 1, 2**15, 2**16 - 1, 2**16]))
+        assert not fired[:, 0].any() and fired[:, 4].all()
+
     @pytest.mark.parametrize("max_rate, seed", sorted(PAPER_SCALE_PINS))
-    def test_paper_scale_digit_matches_its_pin(self, monkeypatch, cpus, max_rate, seed):
-        monkeypatch.setattr(encoders, "_cpu_count", lambda: cpus)
+    def test_paper_scale_digit_matches_its_pin(self, max_rate, seed):
         packets = poisson_encode(synthetic_digit(), EncoderParams(350, max_rate, seed))
         count, digest = PAPER_SCALE_PINS[max_rate, seed]
         assert len(packets) == count
         assert hashlib.sha256(packets.tobytes()).hexdigest() == digest
 
-    def test_import_and_a_small_encode_start_no_thread(self):
+    def test_no_encode_starts_a_thread(self):
         code = (
-            "import threading\n"
+            "import os, threading\n"
             "import numpy as np\n"
-            "before = threading.active_count()\n"
+            "def threads():\n"
+            "    tasks = '/proc/self/task'\n"
+            "    return threading.active_count(), os.path.isdir(tasks) and len(os.listdir(tasks))\n"
+            "before = threads()\n"
             "import aersnn.encoders as e\n"
             "e.poisson_encode(e.Sample(np.full(251, 0.5), 0), e.EncoderParams(100, 0.25))\n"
-            "assert threading.active_count() == before, threading.enumerate()\n"
-            "e._cpu_count = lambda: 2\n"
             "e.poisson_encode(e.Sample(np.full(784, 0.5), 0), e.EncoderParams(350, 0.25))\n"
-            "assert threading.active_count() == before + 1, threading.enumerate()\n"
+            "assert threads() == before, (before, threads(), threading.enumerate())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(encoders.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-
-    def test_threads_encoding_at_once_get_their_own_packets(self, monkeypatch):
-        # more encoding threads than cores, and more blocks than helpers
-        monkeypatch.setattr(encoders, "_cpu_count", lambda: 3)
-        rng = np.random.default_rng(8)
-        jobs = [(Sample(features=rng.random(784), label=0), EncoderParams(350, 0.25, seed=k))
-                for k in range(4)]
-        alone = [poisson_encode(*job).tobytes() for job in jobs]
-        together = [[] for _ in jobs]
-
-        def encode(k):
-            for _ in range(5):
-                together[k].append(poisson_encode(*jobs[k]).tobytes())
-
-        threads = [threading.Thread(target=encode, args=(k,)) for k in range(len(jobs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert together == [[packets] * 5 for packets in alone]
-
-    def test_a_block_that_fails_on_a_helper_raises_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(encoders, "_cpu_count", lambda: 2)
-        sample, params = synthetic_digit(), EncoderParams(350, 0.25, seed=4)
-        encode_rows = encoders._encode_rows
-
-        def fail_past_the_first(seed, thresh, draws, grid, start, stop):
-            if start:
-                raise MemoryError("block from row 175")
-            return encode_rows(seed, thresh, draws, grid, start, stop)
-
-        monkeypatch.setattr(encoders, "_encode_rows", fail_past_the_first)
-        with pytest.raises(MemoryError, match="block from row 175"):
-            poisson_encode(sample, params)
-        monkeypatch.setattr(encoders, "_encode_rows", encode_rows)
-        # the helper serves the next sample
-        want = one_grid_encode(sample.features, 350, 0.25, seed=4)
-        assert poisson_encode(sample, params).tobytes() == want.tobytes()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-    def test_a_forked_child_encodes_with_its_own_helpers(self, monkeypatch):
-        monkeypatch.setattr(encoders, "_cpu_count", lambda: 2)
-        sample, params = synthetic_digit(), EncoderParams(350, 0.25, seed=3)
-        want = poisson_encode(sample, params).tobytes()  # split: the helper runs
-        with warnings.catch_warnings():
-            # Python 3.12 on warns when a process with threads forks; the
-            # child runs one encode and leaves through os._exit
-            warnings.filterwarnings("ignore", message="This process .* is multi-threaded",
-                                    category=DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if poisson_encode(sample, params).tobytes() == want else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's encode did not finish in 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestRateEncodeEcg:
