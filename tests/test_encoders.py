@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,12 @@ class TestPoissonEncode:
                            EncoderParams(timesteps=5, max_rate=0.5))
         with pytest.raises(EncodingError):
             poisson_encode(Sample(features=np.array([-0.1]), label=0),
+                           EncoderParams(timesteps=5, max_rate=0.5))
+
+    @pytest.mark.parametrize("features", [np.float64(0.5), np.full((28, 28), 0.5)])
+    def test_rejects_features_that_are_not_a_vector(self, features):
+        with pytest.raises(EncodingError, match="must be a vector"):
+            poisson_encode(Sample(features=features, label=0),
                            EncoderParams(timesteps=5, max_rate=0.5))
 
     @pytest.mark.parametrize("features", [[np.nan], [0.5, np.nan, 0.2], [np.nan, 1.5]])
@@ -198,6 +205,108 @@ class TestComparatorStream:
         done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    # T * n draws take ceil(T * n / 4) raw outputs: these cover each count of
+    # draws left over in the last output, and a sample with no inputs
+    @pytest.mark.parametrize("timesteps, n", [
+        (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (3, 3), (5, 7), (4, 0),
+    ])
+    def test_matches_the_reference_whatever_the_last_output_holds(self, timesteps, n):
+        features = np.random.default_rng(n).random(n)
+        features[::3] = 1.0
+        want = comparator_encode(features, timesteps, 1.0, seed=11)
+        got = poisson_encode(Sample(features=features, label=0),
+                             EncoderParams(timesteps, 1.0, seed=11))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("short, long, n", [(1, 2, 3), (5, 9, 7), (100, 350, 251)])
+    def test_a_longer_encode_begins_with_the_shorter_one(self, short, long, n):
+        # draws run step by step, so the first steps do not depend on the last
+        sample = Sample(features=np.random.default_rng(n).random(n), label=0)
+        head = poisson_encode(sample, EncoderParams(short, 0.5, seed=21))
+        whole = poisson_encode(sample, EncoderParams(long, 0.5, seed=21))
+        assert whole[whole.timestamp < short].tobytes() == head.tobytes()
+
+    # (feature, max_rate) pairs of one 16-bit threshold, and that threshold
+    @pytest.mark.parametrize("a, b, threshold", [
+        ((0.5, 0.5), (0.25, 1.0), 16384),
+        ((1.0, 1.5 * 2.0**-16), (2.0**-16, 1.0), 1),
+        ((0.3, 1.0), (19660 / 2**16, 1.0), 19660),
+        ((0.999 * 2.0**-16, 1.0), (0.0, 1.0), 0),
+    ])
+    def test_rates_of_one_threshold_encode_alike(self, a, b, threshold):
+        feature, max_rate = a
+        assert math.floor(feature * max_rate * 2**16) == threshold
+        streams = [poisson_encode(Sample(features=np.full(16, f), label=0),
+                                  EncoderParams(4096, m, seed=6)).tobytes()
+                   for f, m in (a, b)]
+        want = comparator_encode(np.full(16, threshold / 2**16), 4096, 1.0, seed=6)
+        assert streams == [want.tobytes()] * 2
+
+    @settings(max_examples=25)
+    @given(case=encodings())
+    def test_lowering_features_only_removes_spikes(self, case):
+        features, timesteps, max_rate, seed = case
+        lower = features * np.random.default_rng(seed % 2**32).random(features.size)
+        params = EncoderParams(timesteps, max_rate, seed)
+        flat = []
+        for f in (lower, features):
+            packets = poisson_encode(Sample(features=f, label=0), params)
+            flat.append(packets.timestamp.astype(np.int64) * features.size + packets.neuron_id)
+        assert np.isin(flat[0], flat[1]).all()
+
+    @settings(max_examples=25)
+    @given(case=encodings(), value=st.floats(0.0, 1.0))
+    def test_an_input_fires_on_its_own_draws_only(self, case, value):
+        features, timesteps, max_rate, seed = case
+        changed = features.copy()
+        changed[features.size // 2] = value
+        params = EncoderParams(timesteps, max_rate, seed)
+        kept = [p[p.neuron_id != features.size // 2].tobytes()
+                for p in (poisson_encode(Sample(features=f, label=0), params)
+                          for f in (features, changed))]
+        assert kept[0] == kept[1]
+
+    # a full rate's threshold, 2**16, does not fit the 16-bit compare; the
+    # stream of seed 2055 draws 0xFFFF in each of these sets of inputs
+    @pytest.mark.parametrize("full", [[0], [250], [0, 7, 8, 9, 250], list(range(251))])
+    def test_full_rate_inputs_fire_at_every_step(self, full):
+        steps, n = 1000, 251
+        raw = np.random.PCG64(2055).random_raw(-(-steps * n // 4))
+        draws = encoders._draws(raw)[:steps * n].reshape(steps, n)
+        assert (draws[:, full] == 0xFFFF).any()
+        features = np.random.default_rng(3).random(n) * 0.999
+        features[full] = 1.0
+        packets = poisson_encode(Sample(features=features, label=0),
+                                 EncoderParams(steps, 1.0, seed=2055))
+        fired = np.zeros((steps, n), dtype=bool)
+        fired[packets.timestamp, packets.neuron_id] = True
+        assert np.array_equal(fired, draws < np.floor(features * 2**16))
+        assert fired[:, full].all()
+
+    def test_threads_encoding_at_once_get_their_own_packets(self):
+        rng = np.random.default_rng(8)
+        jobs = [(Sample(features=rng.random(784), label=0), EncoderParams(350, 0.25, seed=k))
+                for k in range(4)]
+        alone = [poisson_encode(*job).tobytes() for job in jobs]
+        together = [[] for _ in jobs]
+
+        def encode(k):
+            for _ in range(5):
+                together[k].append(poisson_encode(*jobs[k]).tobytes())
+
+        threads = [threading.Thread(target=encode, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert together == [[packets] * 5 for packets in alone]
 
 
 class TestRateEncodeEcg:
